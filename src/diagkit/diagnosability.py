@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .errors import GraphError, SizeCapError
-from .graph import DiagnosticGraph, NodeId, Syndrome, min_in_degree
+from .graph import DiagnosticGraph, NodeId, Syndrome, min_in_degree, tested_by
 
 DEFAULT_EXACT_CAP = 24
 DEFAULT_ORACLE_CAP = 14
@@ -344,26 +344,21 @@ def common_syndrome(
     graph.require_valid()
     mask_a = graph.mask_of(fault_a)
     mask_b = graph.mask_of(fault_b)
-    union = mask_a | mask_b
-    testers = graph.tester_masks
-    diff = mask_a ^ mask_b
-    scan = diff
-    while scan:
-        low = scan & -scan
-        if testers[low.bit_length() - 1] & ~union:
-            return None
-        scan ^= low
-    set_a = graph.ids_of(mask_a)
-    set_b = graph.ids_of(mask_b)
+    outside = ((1 << graph.n) - 1) & ~(mask_a | mask_b)
+    if (mask_a ^ mask_b) & tested_by(graph.out_masks, outside):
+        return None
+    return _shared_syndrome(graph, mask_a, mask_b)
+
+
+def _shared_syndrome(graph: DiagnosticGraph, mask_a: int, mask_b: int) -> Syndrome:
+    """The syndrome of two fault sets whose forced outcomes agree; unforced are 0."""
+    pos = graph.positions
     outcomes = {}
     for edge in graph.edges:
-        if edge.tester not in set_b:
-            value = int(edge.testee in set_b)
-        elif edge.tester not in set_a:
-            value = int(edge.testee in set_a)
-        else:
-            value = 0
-        outcomes[edge.pair] = value
+        tester = 1 << pos[edge.tester]
+        # A tester outside B reports B's faults, else one outside A reports A's.
+        truth = mask_b if not tester & mask_b else mask_a if not tester & mask_a else 0
+        outcomes[edge.pair] = truth >> pos[edge.testee] & 1
     return Syndrome(outcomes)
 
 
@@ -374,44 +369,39 @@ def oracle_is_t_diagnosable(
 
     Enumerates every pair of distinct fault sets of size at most t (by size,
     then lexicographically) and reports the first pair admitting a shared
-    syndrome.  Exponential by design; it exists to referee the checker, not
-    to replace it.
+    syndrome: A and B admit one exactly when no node on which they disagree
+    is tested from outside A | B.  Exponential by design, in memory too (the
+    pair test reads a table of 2**n entries); it exists to referee the
+    checker, not to replace it.
     """
     n = _check_args(graph, t)
     if n > cap:
         raise SizeCapError(
             f"oracle restricted to small graphs (n <= {cap}, got {n})"
         )
-    subsets: list[int] = []
-    for size in range(t + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = 0
-            for pos in combo:
-                mask |= 1 << pos
-            subsets.append(mask)
-    testers = graph.tester_masks
-    count = len(subsets)
-    for ai in range(count):
-        mask_a = subsets[ai]
-        for bi in range(ai + 1, count):
-            mask_b = subsets[bi]
-            union = mask_a | mask_b
-            scan = mask_a ^ mask_b
-            separated = False
-            while scan:
-                low = scan & -scan
-                if testers[low.bit_length() - 1] & ~union:
-                    separated = True
-                    break
-                scan ^= low
-            if not separated:
-                set_a = graph.ids_of(mask_a)
-                set_b = graph.ids_of(mask_b)
-                shared = common_syndrome(graph, set_a, set_b)
-                assert shared is not None
+    if t == 0:  # the empty set is the only fault set: no pair to tell apart
+        return OracleResult(t=t, diagnosable=True, counterexample=None)
+    # Positions ascend with ids, so combinations of the bits come by size,
+    # then lexicographically.
+    bits = [1 << pos for pos in range(n)]
+    subsets = [
+        sum(combo) for size in range(t + 1) for combo in itertools.combinations(bits, size)
+    ]
+    # from_outside[U]: the nodes tested by some node outside U.  Each node
+    # doubles the table; the sets without it (the lower half) gain its tests.
+    from_outside = [0]
+    for out in graph.out_masks:
+        from_outside = [reached | out for reached in from_outside] + from_outside
+    for index, mask_a in enumerate(subsets):
+        for mask_b in itertools.islice(subsets, index + 1, None):
+            if not (mask_a ^ mask_b) & from_outside[mask_a | mask_b]:
                 return OracleResult(
                     t=t,
                     diagnosable=False,
-                    counterexample=OracleCounterexample(set_a, set_b, shared),
+                    counterexample=OracleCounterexample(
+                        graph.ids_of(mask_a),
+                        graph.ids_of(mask_b),
+                        _shared_syndrome(graph, mask_a, mask_b),
+                    ),
                 )
     return OracleResult(t=t, diagnosable=True, counterexample=None)

@@ -67,6 +67,14 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def fraction_to_json(x: Fraction) -> float | str:
+    """A JSON number when ``x`` has an exact decimal spelling, else "p/q"."""
+    value = float(x)
+    if as_fraction(value) == x:
+        return value
+    return f"{x.numerator}/{x.denominator}"
+
+
 @dataclass(frozen=True)
 class Node:
     """A module in the pipeline.
@@ -317,25 +325,28 @@ def testable_set(graph: DiagnosticGraph, members: Iterable[NodeId]) -> frozenset
     """
     graph.require_valid()
     member_mask = graph.mask_of(members)
+    return graph.ids_of(tested_by(graph.out_masks, member_mask) & ~member_mask)
+
+
+def tested_by(out_masks: Sequence[int], members: int) -> int:
+    """Bitmask of the nodes that some node in the bitmask ``members`` tests."""
     reached = 0
-    mask = member_mask
-    out_masks = graph.out_masks
-    while mask:
-        low = mask & -mask
+    while members:
+        low = members & -members
         reached |= out_masks[low.bit_length() - 1]
-        mask ^= low
-    return graph.ids_of(reached & ~member_mask)
+        members ^= low
+    return reached
 
 
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Outcome of a consistency check, naming the first violated condition.
 
-    ``failed_condition`` is one of ``cond_i`` (fault budget exceeded),
-    ``cond_ii`` (a failing check with both endpoints outside the set) or
-    ``cond_iii`` (a check between two supposedly fault-free modules that
-    failed).  The last two describe the same edges from opposite sides, so
-    a violation is always attributed to ``cond_ii``, which comes first.
+    ``failed_condition`` is ``cond_i`` (fault budget exceeded) or
+    ``cond_ii`` (a failing check with both endpoints outside the set).
+    Condition (iii), that every check between two modules outside the set
+    passed, describes the same edges from the other side over a total
+    syndrome, so its violations are reported as ``cond_ii``.
     """
 
     consistent: bool
@@ -377,22 +388,6 @@ def is_consistent_fault_set(
                     f"edge ({edge.tester}, {edge.testee}) failed but neither "
                     "endpoint is in the fault set",
                 )
-    # cond_iii is the contrapositive of cond_ii over a total syndrome, so it
-    # can never be the first violation; it is re-checked here for the report
-    # contract all the same.
-    for edge in graph.edges:
-        if (
-            edge.tester not in members
-            and edge.testee not in members
-            and syndrome.value(*edge.pair) != 0
-        ):
-            return ConsistencyReport(
-                False,
-                "cond_iii",
-                edge.pair,
-                f"edge ({edge.tester}, {edge.testee}) connects two modules "
-                "outside the fault set but did not pass",
-            )
     return ConsistencyReport(True)
 
 
@@ -408,12 +403,29 @@ def pmc_compatible(
     """
     graph.require_valid()
     syndrome.require_total(graph)
-    members = frozenset(fault_set)
-    graph.mask_of(members)
-    for edge in graph.edges:
-        if edge.tester not in members:
-            if syndrome.value(*edge.pair) != int(edge.testee in members):
-                return False
+    return pmc_fits(
+        graph.out_masks, failed_masks(graph, syndrome), graph.mask_of(fault_set)
+    )
+
+
+def failed_masks(graph: DiagnosticGraph, syndrome: Syndrome) -> tuple[int, ...]:
+    """Per position, bitmask of the testees it failed; needs a total syndrome."""
+    masks = [0] * graph.n
+    pos = graph.positions
+    for (tester, testee), value in syndrome.outcomes.items():
+        if value:
+            masks[pos[tester]] |= 1 << pos[testee]
+    return tuple(masks)
+
+
+def pmc_fits(out_masks: Sequence[int], failed: Sequence[int], fault_mask: int) -> bool:
+    """:func:`pmc_compatible` on masks, ``failed`` from :func:`failed_masks`:
+    ``out_masks[u] & F == failed[u]`` for every tester u outside F."""
+    bit = 1
+    for out, flagged in zip(out_masks, failed):
+        if not fault_mask & bit and out & fault_mask != flagged:
+            return False
+        bit <<= 1
     return True
 
 

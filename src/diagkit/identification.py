@@ -10,6 +10,7 @@ fast for the small budgets these graphs call for.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -20,8 +21,8 @@ from .graph import (
     DiagnosticGraph,
     NodeId,
     Syndrome,
-    iter_subsets,
-    pmc_compatible,
+    failed_masks,
+    pmc_fits,
 )
 
 DEFAULT_CANDIDATE_LIMIT = 64
@@ -201,6 +202,7 @@ def all_consistent_fault_sets(
 
     Returns all compatible fault sets of size <= t, sorted by size then
     lexicographically.  Exhaustive over all subsets, hence the node cap.
+    Each subset is tested by the ``pmc_compatible`` predicate on bitmasks.
     """
     graph.require_valid()
     syndrome.require_total(graph)
@@ -211,12 +213,16 @@ def all_consistent_fault_sets(
             f"exhaustive enumeration restricted to small graphs (n <= {cap}, "
             f"got {graph.n})"
         )
-    result = []
-    for combo in iter_subsets(graph.node_ids, t):
-        candidate = frozenset(combo)
-        if pmc_compatible(graph, syndrome, candidate):
-            result.append(candidate)
-    return result
+    out_masks, failed = graph.out_masks, failed_masks(graph, syndrome)
+    # Positions ascend with ids, so combinations of the bits come by size,
+    # then lexicographically.
+    bits = [1 << pos for pos in range(graph.n)]
+    return [
+        graph.ids_of(mask)
+        for size in range(min(t, graph.n) + 1)
+        for mask in map(sum, itertools.combinations(bits, size))
+        if pmc_fits(out_masks, failed, mask)
+    ]
 
 
 def node_status(

@@ -36,17 +36,11 @@ from .graph import (
     Node,
     Syndrome,
     as_fraction,
+    fraction_to_json,
 )
 from .temporal import Interval, TemporalGraph, TemporalTemplate, expand
 
 _KINDS_BY_VALUE = {kind.value: kind for kind in EdgeKind}
-
-
-def fraction_to_json(x: Fraction) -> float | str:
-    value = float(x)
-    if as_fraction(value) == x:
-        return value
-    return f"{x.numerator}/{x.denominator}"
 
 
 def fraction_from_json(value: int | float | str) -> Fraction:

@@ -37,6 +37,7 @@ from .graph import (
     NodeId,
     Syndrome,
     as_fraction,
+    fraction_to_json,
 )
 from .identification import NodeStatus, _candidate_masks
 
@@ -254,7 +255,10 @@ class ProfileEntry:
 
     def to_json_dict(self) -> dict:
         doc: dict = {
-            "interval": [_fraction_json(self.interval.a), _fraction_json(self.interval.b)],
+            "interval": [
+                fraction_to_json(self.interval.a),
+                fraction_to_json(self.interval.b),
+            ],
             "exact": self.exact,
         }
         if self.exact:
@@ -276,13 +280,6 @@ class DiagnosabilityProfile:
 
     def to_json_dict(self) -> dict:
         return {"entries": [entry.to_json_dict() for entry in self.entries]}
-
-
-def _fraction_json(x: Fraction) -> float | str:
-    value = float(x)
-    if as_fraction(value) == x:
-        return value
-    return f"{x.numerator}/{x.denominator}"
 
 
 def diagnosability_profile(
@@ -353,8 +350,8 @@ class AuditReport:
             "windows": [
                 {
                     "interval": [
-                        _fraction_json(audit.window.a),
-                        _fraction_json(audit.window.b),
+                        fraction_to_json(audit.window.a),
+                        fraction_to_json(audit.window.b),
                     ],
                     "t": audit.t_used,
                     "inconsistent": audit.inconsistent,

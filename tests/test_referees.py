@@ -1,0 +1,190 @@
+"""The brute-force referees against literal readings of their definitions.
+
+``all_consistent_fault_sets`` and ``oracle_is_t_diagnosable`` test each
+candidate on bitmasks.  The loops below spell each definition out over node
+ids and edges instead, so the referees stay held to the model itself.
+"""
+
+import random
+
+import pytest
+
+from conftest import random_digraph
+from diagkit.diagnosability import (
+    common_syndrome,
+    oracle_is_t_diagnosable,
+    search_ceiling,
+)
+from diagkit.errors import SizeCapError, SyndromeError
+from diagkit.graph import (
+    DiagnosticGraph,
+    Node,
+    Syndrome,
+    is_consistent_fault_set,
+    iter_subsets,
+    pmc_compatible,
+)
+from diagkit.identification import all_consistent_fault_sets
+
+
+def literal_compatible(graph, syndrome, fault_set):
+    """Every check run from outside the set reports 1 exactly on members."""
+    return all(
+        syndrome.value(edge.tester, edge.testee) == int(edge.testee in fault_set)
+        for edge in graph.edges
+        if edge.tester not in fault_set
+    )
+
+
+def literal_share_a_syndrome(graph, a, b):
+    """Some syndrome fits both sets unless they force one edge both ways.
+
+    An edge run from outside both sets is forced to membership of its testee
+    in each; every other edge is forced by at most one set.
+    """
+    return all(
+        (edge.testee in a) == (edge.testee in b)
+        for edge in graph.edges
+        if edge.tester not in a and edge.tester not in b
+    )
+
+
+def forced_outcomes(graph, a, b):
+    """What each set forces on the edges run from outside it; unforced are 0."""
+    outcomes = {}
+    for edge in graph.edges:
+        if edge.tester not in b:
+            outcomes[edge.pair] = int(edge.testee in b)
+        elif edge.tester not in a:
+            outcomes[edge.pair] = int(edge.testee in a)
+        else:
+            outcomes[edge.pair] = 0
+    return Syndrome(outcomes)
+
+
+def syndromes_for(rng, graph):
+    """A uniform random syndrome, one produced by random faults, all-pass."""
+    yield Syndrome({edge.pair: rng.randint(0, 1) for edge in graph.edges})
+    faults = frozenset(
+        rng.sample(graph.node_ids, rng.randint(0, min(3, graph.n)))
+    )
+    yield Syndrome(
+        {
+            edge.pair: rng.randint(0, 1)
+            if edge.tester in faults
+            else int(edge.testee in faults)
+            for edge in graph.edges
+        }
+    )
+    yield Syndrome.all_clear(graph)
+
+
+class TestConsistentFaultSetsReferee:
+    def test_matches_per_subset_filters_in_order(self):
+        rng = random.Random(4242)
+        for _ in range(120):
+            graph = random_digraph(rng, rng.randint(1, 9), rng.random())
+            for syndrome in syndromes_for(rng, graph):
+                for t in (0, 1, 2, rng.randint(3, graph.n + 2)):
+                    subsets = [frozenset(c) for c in iter_subsets(graph.node_ids, t)]
+                    literal = [f for f in subsets if literal_compatible(graph, syndrome, f)]
+                    filtered = [f for f in subsets if pmc_compatible(graph, syndrome, f)]
+                    assert all_consistent_fault_sets(graph, syndrome, t) == literal
+                    assert filtered == literal
+
+    def test_strict_compatibility_is_consistency_plus_truthful_passes(self):
+        rng = random.Random(99)
+        for _ in range(60):
+            graph = random_digraph(rng, rng.randint(1, 7), rng.random())
+            for syndrome in syndromes_for(rng, graph):
+                for combo in iter_subsets(graph.node_ids, 3):
+                    members = frozenset(combo)
+                    report = is_consistent_fault_set(graph, syndrome, members, 3)
+                    covered = all(
+                        edge.tester in members or edge.testee in members
+                        for edge in graph.edges
+                        if syndrome.value(*edge.pair)
+                    )
+                    assert report.consistent == covered
+                    assert report.failed_condition in (None, "cond_ii")
+                    if literal_compatible(graph, syndrome, members):
+                        assert report.consistent
+
+
+class TestOracleReferee:
+    def test_matches_ordered_pair_loop(self):
+        rng = random.Random(8080)
+        refuted = 0
+        for _ in range(200):
+            graph = random_digraph(rng, rng.randint(1, 8), rng.random())
+            # Every t up to the ceiling, plus one above it, where most
+            # graphs are refuted and the first pair's order shows.
+            for t in range(min(search_ceiling(graph) + 2, graph.n)):
+                subsets = [frozenset(c) for c in iter_subsets(graph.node_ids, t)]
+                expected = next(
+                    (
+                        (a, b)
+                        for index, a in enumerate(subsets)
+                        for b in subsets[index + 1 :]
+                        if literal_share_a_syndrome(graph, a, b)
+                    ),
+                    None,
+                )
+                result = oracle_is_t_diagnosable(graph, t)
+                assert result.t == t
+                assert result.diagnosable == (expected is None)
+                if expected is None:
+                    assert result.counterexample is None
+                    continue
+                refuted += 1
+                pair = result.counterexample
+                assert (pair.fault_set_a, pair.fault_set_b) == expected
+                for members in expected:
+                    assert pmc_compatible(graph, pair.syndrome, members)
+                    assert literal_compatible(graph, pair.syndrome, members)
+                assert pair.syndrome == forced_outcomes(graph, *expected)
+                assert pair.syndrome == common_syndrome(graph, *expected)
+        assert refuted > 100
+
+
+class TestRefereeErrors:
+    def test_partial_or_foreign_syndrome(self, five_cycle):
+        with pytest.raises(SyndromeError):
+            all_consistent_fault_sets(five_cycle, Syndrome({(1, 2): 0}), 1)
+        foreign = dict(Syndrome.all_clear(five_cycle).outcomes)
+        foreign[(2, 1)] = 0
+        with pytest.raises(SyndromeError):
+            all_consistent_fault_sets(five_cycle, Syndrome(foreign), 1)
+        with pytest.raises(SyndromeError):
+            pmc_compatible(five_cycle, Syndrome({(1, 2): 0}), set())
+
+    def test_unknown_ids(self, five_cycle):
+        clear = Syndrome.all_clear(five_cycle)
+        with pytest.raises(ValueError, match="unknown node ids"):
+            pmc_compatible(five_cycle, clear, {1, 9})
+        with pytest.raises(ValueError, match="unknown node ids"):
+            common_syndrome(five_cycle, {1}, {9})
+
+    def test_bad_budgets(self, five_cycle):
+        clear = Syndrome.all_clear(five_cycle)
+        for t in (-1, True, 1.0):
+            with pytest.raises(ValueError):
+                all_consistent_fault_sets(five_cycle, clear, t)
+            with pytest.raises(ValueError):
+                oracle_is_t_diagnosable(five_cycle, t)
+        with pytest.raises(ValueError):
+            oracle_is_t_diagnosable(five_cycle, 5)
+
+    def test_size_caps(self, five_cycle):
+        big = DiagnosticGraph.build([Node(i) for i in range(15)], [])
+        with pytest.raises(SizeCapError):
+            all_consistent_fault_sets(big, Syndrome({}), 1)
+        with pytest.raises(SizeCapError):
+            oracle_is_t_diagnosable(big, 1)
+        clear = Syndrome.all_clear(five_cycle)
+        with pytest.raises(SizeCapError):
+            all_consistent_fault_sets(five_cycle, clear, 1, cap=4)
+        with pytest.raises(SizeCapError):
+            oracle_is_t_diagnosable(five_cycle, 1, cap=4)
+        assert all_consistent_fault_sets(five_cycle, clear, 1, cap=5) == [frozenset()]
+        assert oracle_is_t_diagnosable(five_cycle, 1, cap=5).diagnosable
