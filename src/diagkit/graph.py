@@ -18,12 +18,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphError, SyndromeError
 
 NodeId = int
+
+_BY_ID = attrgetter("id")
+_BY_PAIR = attrgetter("tester", "testee")
+_BINARY = frozenset((0, 1))
 
 # A fault set is just a frozenset of node ids; no wrapper type needed.
 FaultSet = frozenset
@@ -92,7 +97,7 @@ class Node:
             raise ValueError(f"node id must be a non-negative integer, got {self.id!r}")
         if self.frequency_hz is not None:
             hz = as_fraction(self.frequency_hz)
-            if hz <= 0:
+            if hz.numerator <= 0:
                 raise ValueError(f"frequency must be positive, got {hz}")
             object.__setattr__(self, "frequency_hz", hz)
 
@@ -127,12 +132,8 @@ class DiagnosticGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "nodes", tuple(sorted(self.nodes, key=lambda nd: nd.id))
-        )
-        object.__setattr__(
-            self, "edges", tuple(sorted(self.edges, key=lambda e: (e.tester, e.testee)))
-        )
+        object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=_BY_ID)))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=_BY_PAIR)))
 
     @classmethod
     def build(
@@ -154,16 +155,17 @@ class DiagnosticGraph:
                 found.append(f"duplicate node id: {node.id}")
             seen_ids.add(node.id)
         seen_pairs: set[tuple[int, int]] = set()
-        for edge in self.edges:
-            if edge.tester == edge.testee:
-                found.append(f"self-loop: edge ({edge.tester}, {edge.testee})")
-            if edge.pair in seen_pairs:
-                found.append(f"duplicate edge: ({edge.tester}, {edge.testee})")
-            seen_pairs.add(edge.pair)
-            for endpoint in edge.pair:
+        for pair in map(_BY_PAIR, self.edges):
+            tester, testee = pair
+            if tester == testee:
+                found.append(f"self-loop: edge ({tester}, {testee})")
+            if pair in seen_pairs:
+                found.append(f"duplicate edge: ({tester}, {testee})")
+            seen_pairs.add(pair)
+            for endpoint in pair:
                 if endpoint not in seen_ids:
                     found.append(
-                        f"dangling endpoint: edge ({edge.tester}, {edge.testee}) "
+                        f"dangling endpoint: edge ({tester}, {testee}) "
                         f"references undeclared node {endpoint}"
                     )
         return tuple(found)
@@ -181,6 +183,11 @@ class DiagnosticGraph:
     @cached_property
     def node_ids(self) -> tuple[NodeId, ...]:
         return tuple(node.id for node in self.nodes)
+
+    @cached_property
+    def edge_pairs(self) -> frozenset[tuple[NodeId, NodeId]]:
+        """The (tester, testee) pair of every edge."""
+        return frozenset(map(_BY_PAIR, self.edges))
 
     @cached_property
     def node_by_id(self) -> Mapping[NodeId, Node]:
@@ -255,14 +262,25 @@ class Syndrome:
     outcomes: Mapping[tuple[NodeId, NodeId], int]
 
     def __post_init__(self) -> None:
-        normalized: dict[tuple[int, int], int] = {}
-        for (tester, testee), value in dict(self.outcomes).items():
-            value = int(value)
-            if value not in (0, 1):
-                raise SyndromeError(
-                    f"outcome for edge ({tester}, {testee}) must be 0 or 1, got {value}"
-                )
-            normalized[(int(tester), int(testee))] = value
+        outcomes = dict(self.outcomes)
+        try:
+            normalized = {
+                (int(tester), int(testee)): int(value)
+                for (tester, testee), value in outcomes.items()
+            }
+        except (TypeError, ValueError, OverflowError):
+            normalized = None
+        if normalized is None or not _BINARY.issuperset(normalized.values()):
+            # Re-scan in order, so the first bad entry names the error.
+            normalized = {}
+            for (tester, testee), value in outcomes.items():
+                value = int(value)
+                if value not in _BINARY:
+                    raise SyndromeError(
+                        f"outcome for edge ({tester}, {testee}) must be 0 or 1, "
+                        f"got {value}"
+                    )
+                normalized[(int(tester), int(testee))] = value
         object.__setattr__(self, "outcomes", MappingProxyType(normalized))
 
     @classmethod
@@ -280,7 +298,9 @@ class Syndrome:
 
     def require_total(self, graph: DiagnosticGraph) -> None:
         """Raise unless this syndrome covers every edge of ``graph`` exactly."""
-        expected = {edge.pair for edge in graph.edges}
+        expected = graph.edge_pairs
+        if self.outcomes.keys() == expected:
+            return
         got = set(self.outcomes)
         missing = sorted(expected - got)
         unknown = sorted(got - expected)

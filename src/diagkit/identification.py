@@ -1,11 +1,14 @@
 """Turning an observed syndrome into a verdict about which modules failed.
 
-The exact search branches on failing checks, vertex-cover style: the tester
-of a failing check is either itself faulty, or fault-free — in which case
-the testee is pinned faulty and, transitively, every outcome the tester
-reported is taken at face value (unit propagation).  Branches die once more
-than t modules are assumed faulty, so the search is exact for every t and
-fast for the small budgets these graphs call for.
+The exact search branches on the lowest undecided module: it is either
+faulty, or fault-free, in which case every outcome it reported is taken at
+face value (unit propagation).  Outcomes are kept as bitmask rows per
+tester, so trusting a tester applies its whole row at once: the modules it
+failed become faulty, the modules it passed become trusted in turn, and a
+module that ends up on both sides kills the branch.  Branches also die once
+more than t modules are assumed faulty, so the search is exact for every t
+and fast for the small budgets these graphs call for.  The search keeps its
+branches on an explicit stack, so graph size meets no recursion limit.
 """
 
 from __future__ import annotations
@@ -88,53 +91,43 @@ def _candidate_masks(graph: DiagnosticGraph, syndrome: Syndrome, t: int) -> list
     syndrome.require_total(graph)
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise ValueError(f"t must be a non-negative integer, got {t!r}")
-    n = graph.n
-    full = (1 << n) - 1
-    positions = graph.positions
-    outcomes_by_tester: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for edge in graph.edges:
-        outcomes_by_tester[positions[edge.tester]].append(
-            (positions[edge.testee], syndrome.value(*edge.pair))
-        )
+    full = (1 << graph.n) - 1
+    failed = failed_masks(graph, syndrome)
+    passed = [out & ~flagged for out, flagged in zip(graph.out_masks, failed)]
 
-    found: list[int] = []
-
-    def propagate(
-        in_mask: int, out_mask: int, queue: list[int]
-    ) -> tuple[int, int] | None:
-        while queue:
-            tester = queue.pop()
-            for testee, value in outcomes_by_tester[tester]:
-                bit = 1 << testee
-                if value:
-                    if out_mask & bit:
-                        return None
-                    if not in_mask & bit:
-                        in_mask |= bit
-                        if in_mask.bit_count() > t:
-                            return None
-                else:
-                    if in_mask & bit:
-                        return None
-                    if not out_mask & bit:
-                        out_mask |= bit
-                        queue.append(testee)
+    def propagate(in_mask: int, out_mask: int, pending: int) -> tuple[int, int] | None:
+        """Trust every tester in ``pending`` and apply its row; None on conflict."""
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            tester = low.bit_length() - 1
+            flagged, cleared = failed[tester], passed[tester]
+            if flagged & out_mask or cleared & in_mask:
+                return None
+            if flagged & ~in_mask:
+                in_mask |= flagged
+                if in_mask.bit_count() > t:
+                    return None
+            fresh = cleared & ~out_mask
+            out_mask |= fresh
+            pending |= fresh
         return in_mask, out_mask
 
-    def explore(in_mask: int, out_mask: int) -> None:
+    found: list[int] = []
+    stack = [(0, 0)]
+    while stack:
+        in_mask, out_mask = stack.pop()
         undecided = full & ~(in_mask | out_mask)
         if not undecided:
             found.append(in_mask)
-            return
+            continue
         low = undecided & -undecided
-        state = propagate(in_mask, out_mask | low, [low.bit_length() - 1])
-        if state is not None:
-            explore(*state)
         grown = in_mask | low
         if grown.bit_count() <= t:
-            explore(grown, out_mask)
-
-    explore(0, 0)
+            stack.append((grown, out_mask))
+        state = propagate(in_mask, out_mask | low, low)
+        if state is not None:
+            stack.append(state)
     found.sort(key=lambda mask: (mask.bit_count(), graph.id_tuple(mask)))
     return found
 

@@ -27,6 +27,7 @@ import json
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from .errors import SyndromeError
 from .graph import (
@@ -61,30 +62,54 @@ def graph_to_dict(graph: DiagnosticGraph) -> dict:
     return {"nodes": nodes, "edges": edges}
 
 
+def _objects(rows: object, what: str) -> Iterator[dict]:
+    """The entries of a JSON list, each checked in turn to be an object."""
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"expected a list of {what} objects, got {rows!r}")
+    for row in rows:
+        if not isinstance(row, dict):
+            raise ValueError(f"each {what} must be an object, got {row!r}")
+        yield row
+
+
+def _integer(row: dict, key: str, what: str) -> int:
+    if key not in row:
+        raise ValueError(f"{what} {row!r} has no {key!r}")
+    try:
+        return int(row[key])
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{what} {row!r}: {key!r} must be an integer") from exc
+
+
 def graph_from_dict(data: dict) -> DiagnosticGraph:
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ValueError("graph document must have 'nodes' and 'edges' lists")
     nodes = []
-    for entry in data["nodes"]:
+    for entry in _objects(data["nodes"], "node"):
         hz = entry.get("hz")
+        node_id = _integer(entry, "id", "node")
+        try:
+            frequency = fraction_from_json(hz) if hz is not None else None
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"node {entry!r}: 'hz' must be a rational") from exc
         nodes.append(
-            Node(
-                id=int(entry["id"]),
-                label=str(entry.get("label", "")),
-                frequency_hz=fraction_from_json(hz) if hz is not None else None,
-            )
+            Node(id=node_id, label=str(entry.get("label", "")), frequency_hz=frequency)
         )
     edges = []
-    for entry in data["edges"]:
+    for entry in _objects(data["edges"], "edge"):
         kind_name = entry.get("kind", EdgeKind.UNSPECIFIED.value)
-        kind = _KINDS_BY_VALUE.get(kind_name)
+        kind = _KINDS_BY_VALUE.get(kind_name) if isinstance(kind_name, str) else None
         if kind is None:
             warnings.warn(
                 f"unknown edge kind {kind_name!r}; treating as unspecified",
                 stacklevel=2,
             )
             kind = EdgeKind.UNSPECIFIED
-        edges.append(Edge(int(entry["tester"]), int(entry["testee"]), kind))
+        edges.append(
+            Edge(
+                _integer(entry, "tester", "edge"), _integer(entry, "testee", "edge"), kind
+            )
+        )
     return DiagnosticGraph.build(nodes, edges)
 
 
@@ -97,18 +122,34 @@ def syndrome_to_dict(syndrome: Syndrome) -> dict:
 
 
 def syndrome_from_dict(data: dict, graph: DiagnosticGraph | None = None) -> Syndrome:
-    if not isinstance(data, dict) or "outcomes" not in data:
+    rows = data.get("outcomes") if isinstance(data, dict) else None
+    if not isinstance(rows, (list, tuple)):
         raise ValueError("syndrome document must have an 'outcomes' list")
-    outcomes: dict[tuple[int, int], int] = {}
-    for entry in data["outcomes"]:
-        pair = (int(entry["tester"]), int(entry["testee"]))
-        if pair in outcomes:
-            raise SyndromeError(f"duplicate outcome for edge {pair}")
-        outcomes[pair] = int(entry["value"])
-    syndrome = Syndrome(outcomes)
+    # One pass, left to Syndrome to normalise; a repeated edge shrinks the
+    # dict, and any bad row sends the rows through the ordered scan, which
+    # raises at the first of them.
+    try:
+        syndrome = Syndrome(
+            {(entry["tester"], entry["testee"]): entry["value"] for entry in rows}
+        )
+    except (KeyError, TypeError, ValueError, OverflowError, SyndromeError):
+        syndrome = None
+    if syndrome is None or len(syndrome.outcomes) != len(rows):
+        syndrome = Syndrome(_outcomes_in_order(rows))
     if graph is not None:
         syndrome.require_total(graph)
     return syndrome
+
+
+def _outcomes_in_order(rows: object) -> dict[tuple[int, int], int]:
+    """Read outcome rows one at a time, raising at the first bad or repeated one."""
+    outcomes: dict[tuple[int, int], int] = {}
+    for entry in _objects(rows, "outcome"):
+        pair = (_integer(entry, "tester", "outcome"), _integer(entry, "testee", "outcome"))
+        if pair in outcomes:
+            raise SyndromeError(f"duplicate outcome for edge {pair}")
+        outcomes[pair] = _integer(entry, "value", "outcome")
+    return outcomes
 
 
 def temporal_to_dict(graph: TemporalGraph) -> dict:

@@ -117,34 +117,44 @@ class TemporalGraph:
         return Fraction(pane, 1) / self.frequency_hz
 
     @cached_property
-    def _flat_ids(self) -> Mapping[TemporalVertex, int]:
-        mapping = {vertex: fid for fid, vertex in enumerate(self.vertices)}
-        return MappingProxyType(mapping)
+    def _pane_starts(self) -> Mapping[int, int]:
+        """Flat id of each pane's first vertex: ``pane_index * width``."""
+        width = self.base.n
+        return MappingProxyType(
+            {pane: index * width for index, pane in enumerate(self.panes)}
+        )
 
     def flat_id(self, vertex: TemporalVertex) -> int:
-        return self._flat_ids[vertex]
+        pane, nid = vertex
+        return self._pane_starts[pane] + self.base.positions[nid]
 
     def vertex_of(self, flat_id: int) -> TemporalVertex:
         return self.vertices[flat_id]
 
     @cached_property
     def flat_graph(self) -> DiagnosticGraph:
-        """The expansion as a plain diagnostic graph with dense ids."""
-        flat = self._flat_ids
-        base_nodes = self.base.node_by_id
+        """The expansion as a plain diagnostic graph with dense ids.
+
+        Vertex (pane, nid) gets id ``pane_index * width + base_position``,
+        so ids follow the vertex order and edges keep theirs.
+        """
+        starts = self._pane_starts
+        pos = self.base.positions
         nodes = [
-            Node(
-                id=flat[(pane, nid)],
-                label=f"{pane}:{nid}",
-                frequency_hz=base_nodes[nid].frequency_hz,
-            )
-            for pane, nid in self.vertices
+            Node(id=start + p, label=f"{pane}:{node.id}", frequency_hz=node.frequency_hz)
+            for pane, start in starts.items()
+            for p, node in enumerate(self.base.nodes)
         ]
         kinds = {edge.pair: edge.kind for edge in self.base.edges}
-        edges = []
-        for (pane_a, id_a), (pane_b, id_b) in self.edges:
-            kind = kinds[(id_a, id_b)] if pane_a == pane_b else EdgeKind.TEMPORAL
-            edges.append(Edge(flat[(pane_a, id_a)], flat[(pane_b, id_b)], kind))
+        temporal = EdgeKind.TEMPORAL
+        edges = [
+            Edge(
+                starts[pane_a] + pos[id_a],
+                starts[pane_b] + pos[id_b],
+                kinds[(id_a, id_b)] if pane_a == pane_b else temporal,
+            )
+            for (pane_a, id_a), (pane_b, id_b) in self.edges
+        ]
         return DiagnosticGraph.build(nodes, edges)
 
 
@@ -171,24 +181,29 @@ def expand(
             f"empty expansion: no sample time k/{rate} lies in {interval}"
         )
     panes = tuple(range(first, last + 1))
+    ids = base.node_ids
+    # One tuple per vertex, shared by all its edges; the sort below then
+    # finds equal endpoints by identity.
+    vertex = {pane: {nid: (pane, nid) for nid in ids} for pane in panes}
     edges: list[TemporalEdge] = []
     for pane in panes:
-        for edge in base.edges:
-            edges.append(((pane, edge.tester), (pane, edge.testee)))
-    ids = base.node_ids
+        row = vertex[pane]
+        edges.extend((row[edge.tester], row[edge.testee]) for edge in base.edges)
+    if template.base_identity_only:
+        pairs = [(nid, nid) for nid in ids]
+    else:
+        pairs = [(i, j) for i in ids for j in ids]
     for pane in panes:
+        row = vertex[pane]
         for offset in sorted(template.offsets):
             other = pane + offset
             if other > last:
                 continue
-            if template.base_identity_only:
-                pairs = [(nid, nid) for nid in ids]
-            else:
-                pairs = [(i, j) for i in ids for j in ids]
+            far = vertex[other]
             for i, j in pairs:
-                edges.append(((pane, i), (other, j)))
+                edges.append((row[i], far[j]))
                 if template.bidirectional:
-                    edges.append(((other, j), (pane, i)))
+                    edges.append((far[j], row[i]))
     edges.sort()
     return TemporalGraph(
         base=base,

@@ -326,3 +326,43 @@ class TestExportDotAndScenarios:
         code, doc, _ = run_json(capsys, "analyze", "five_cycle")
         assert code == 0
         assert doc["ceiling"] == 2  # the localization graph, not the cycle
+
+
+class TestMalformedDocuments:
+    """Malformed input files are input errors: exit 2 with a message."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"nodes": [{"label": "no id"}], "edges": []},
+            {"nodes": [{"id": 1}, {"id": 2}], "edges": [[1, 2]]},
+            {"nodes": [{"id": 1}, {"id": 2}], "edges": [{"tester": 1}]},
+            {"nodes": [{"id": [1]}], "edges": []},
+            {"nodes": [{"id": 1, "hz": [100]}], "edges": []},
+            {"nodes": 5, "edges": []},
+        ],
+    )
+    def test_graph(self, capsys, tmp_path, document):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"outcomes": [[5, 1, 1]]},
+            {"outcomes": [{"tester": 1, "testee": 2}]},
+            {"outcomes": [{"tester": None, "testee": 2, "value": 0}]},
+            {"outcomes": 7},
+        ],
+    )
+    def test_syndrome(self, capsys, tmp_path, document):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "identify", "five_cycle", str(path), "--t", "1")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
