@@ -24,7 +24,14 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .errors import GraphError, SizeCapError
-from .graph import DiagnosticGraph, NodeId, Syndrome, min_in_degree, tested_by
+from .graph import (
+    DiagnosticGraph,
+    NodeId,
+    Syndrome,
+    min_in_degree,
+    testable_set,
+    tested_by,
+)
 
 DEFAULT_EXACT_CAP = 24
 DEFAULT_ORACLE_CAP = 14
@@ -221,8 +228,6 @@ def revalidate_certificate(
         p = witness.p
         if not (0 <= p < t and len(witness.members) == graph.n - 2 * t + p):
             return False
-        from .graph import testable_set
-
         reached = testable_set(graph, witness.members)
         return reached == witness.testable and len(reached) <= p
     return False

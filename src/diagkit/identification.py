@@ -218,6 +218,31 @@ def all_consistent_fault_sets(
     ]
 
 
+def _group_statuses(masks: list[int], groups: list[int]) -> list[NodeStatus]:
+    """Status of each group of bits across the candidate masks.
+
+    A group is known-faulty when every candidate holds all of it, known
+    fault-free when no candidate holds any of it, and unknown otherwise;
+    with no candidate at all, every group is unknown.  One pass over the
+    masks, one over the groups.
+    """
+    if not masks:
+        return [NodeStatus.UNKNOWN for _ in groups]
+    everywhere = anywhere = masks[0]
+    for mask in masks:
+        everywhere &= mask
+        anywhere |= mask
+    statuses = []
+    for group in groups:
+        if everywhere & group == group:
+            statuses.append(NodeStatus.KNOWN_FAULTY)
+        elif anywhere & group:
+            statuses.append(NodeStatus.UNKNOWN)
+        else:
+            statuses.append(NodeStatus.KNOWN_FAULT_FREE)
+    return statuses
+
+
 def node_status(
     graph: DiagnosticGraph,
     syndrome: Syndrome,
@@ -233,22 +258,6 @@ def node_status(
     """
     masks = _candidate_masks(graph, syndrome, t)
     verdict = _verdict_from_masks(graph, masks, t, candidate_limit)
-    statuses: dict[NodeId, NodeStatus] = {}
-    if not masks:
-        for nid in graph.node_ids:
-            statuses[nid] = NodeStatus.UNKNOWN
-    else:
-        everywhere = masks[0]
-        anywhere = 0
-        for mask in masks:
-            everywhere &= mask
-            anywhere |= mask
-        for pos, nid in enumerate(graph.node_ids):
-            bit = 1 << pos
-            if everywhere & bit:
-                statuses[nid] = NodeStatus.KNOWN_FAULTY
-            elif not anywhere & bit:
-                statuses[nid] = NodeStatus.KNOWN_FAULT_FREE
-            else:
-                statuses[nid] = NodeStatus.UNKNOWN
+    bits = [1 << pos for pos in range(graph.n)]
+    statuses = dict(zip(graph.node_ids, _group_statuses(masks, bits)))
     return StatusReport(statuses=MappingProxyType(statuses), verdict=verdict)

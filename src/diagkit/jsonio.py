@@ -170,20 +170,41 @@ def temporal_to_dict(graph: TemporalGraph) -> dict:
     }
 
 
+def _rational(value: object, what: str) -> Fraction:
+    try:
+        return fraction_from_json(value)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{what} must be a rational, got {value!r}") from exc
+
+
 def temporal_from_dict(data: dict) -> TemporalGraph:
     if not isinstance(data, dict) or "base" not in data or "temporal" not in data:
         raise ValueError("temporal document must have 'base' and 'temporal' entries")
     base = graph_from_dict(data["base"])
     recipe = data["temporal"]
-    lo, hi = recipe["interval"]
-    interval = Interval(fraction_from_json(lo), fraction_from_json(hi))
+    if not isinstance(recipe, dict) or "hz" not in recipe:
+        raise ValueError(f"'temporal' must be an object with an 'hz', got {recipe!r}")
+    bounds = recipe.get("interval")
+    if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+        raise ValueError(f"'interval' must be a [start, end] pair, got {bounds!r}")
+    interval = Interval(*(_rational(bound, "'interval' bound") for bound in bounds))
     tmpl = recipe.get("template", {})
+    if not isinstance(tmpl, dict):
+        raise ValueError(f"'template' must be an object, got {tmpl!r}")
+    offsets = tmpl.get("offsets", [1])
+    message = f"'offsets' must be a list of integers, got {offsets!r}"
+    if not isinstance(offsets, (list, tuple)):
+        raise ValueError(message)
+    try:
+        offsets = frozenset(int(o) for o in offsets)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(message) from exc
     template = TemporalTemplate(
-        offsets=frozenset(int(o) for o in tmpl.get("offsets", [1])),
+        offsets=offsets,
         bidirectional=bool(tmpl.get("bidirectional", False)),
         base_identity_only=bool(tmpl.get("identity_only", True)),
     )
-    return expand(base, fraction_from_json(recipe["hz"]), interval, template)
+    return expand(base, _rational(recipe["hz"], "'hz'"), interval, template)
 
 
 def dump_json(document: dict) -> str:

@@ -10,23 +10,21 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import random
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .diagnosability import is_t_diagnosable, max_diagnosability
 from .errors import SizeCapError
 from .graph import (
     DiagnosticGraph,
-    Edge,
-    EdgeKind,
-    Node,
     NodeId,
     Syndrome,
     min_in_degree,
@@ -39,6 +37,7 @@ from .identification import (
     all_consistent_fault_sets,
     node_status,
 )
+from .jsonio import graph_from_dict
 from .temporal import frequency_subgraph
 
 ADVERSARIAL_FREE_EDGE_CAP = 16
@@ -200,177 +199,92 @@ class Scenario:
     notes: str = ""
 
 
-def _five_cycle_graph() -> DiagnosticGraph:
-    nodes = [Node(i, label=f"p{i}") for i in range(1, 6)]
-    edges = [Edge(i, i % 5 + 1) for i in range(1, 6)]
-    return DiagnosticGraph.build(nodes, edges)
+def _refutation(graph: DiagnosticGraph, t: int) -> str | None:
+    """The condition refuting ``t``, with the subset's shape for condition (iii)."""
+    cert = is_t_diagnosable(graph, t)
+    if cert.failed_condition == "cond_iii":
+        return f"cond_iii with p={cert.witness.p}, |X|={len(cert.witness.members)}"
+    return cert.failed_condition
 
 
-_LOCALIZATION_NODES = [
-    (1, "GPS reader", 1),
-    (2, "Map reader", 1),
-    (3, "LIDAR reader", 5),
-    (4, "IMU reader", 100),
-    (5, "Camera reader", 20),
-    (6, "GPS processing", 1),
-    (7, "Map localization", 5),
-    (8, "LIDAR registration", 5),
-    (9, "IMU integration", 100),
-    (10, "Visual odometry", 20),
-    (11, "Pose fusion", 100),
-]
-
-_IN_ADM = EdgeKind.INPUT_ADMISSIBILITY
-_OUT_ADM = EdgeKind.OUTPUT_ADMISSIBILITY
-_OUT_CON = EdgeKind.OUTPUT_CONSISTENCY
-_IO_CON = EdgeKind.INPUT_OUTPUT_CONSISTENCY
-
-_LOCALIZATION_EDGES = [
-    (6, 1, _IN_ADM),
-    (2, 1, _OUT_CON),
-    (7, 2, _IN_ADM),
-    (1, 2, _OUT_CON),
-    (7, 3, _IN_ADM),
-    (8, 3, _IN_ADM),
-    (9, 4, _IN_ADM),
-    (11, 4, _IO_CON),
-    (10, 5, _IN_ADM),
-    (11, 5, _IO_CON),
-    (7, 6, _OUT_CON),
-    (11, 6, _IO_CON),
-    (11, 7, _IO_CON),
-    (6, 7, _OUT_CON),
-    (11, 8, _IO_CON),
-    (10, 8, _OUT_CON),
-    (11, 9, _IO_CON),
-    (4, 9, _OUT_ADM),
-    (8, 9, _OUT_CON),
-    (11, 10, _IO_CON),
-    (9, 10, _OUT_CON),
-    (9, 11, _OUT_CON),
-    (10, 11, _OUT_CON),
-]
-
-_PINNED_SUBSET = frozenset({1, 2, 3, 4, 5, 8, 9, 10})
-
-_RECONSTRUCTION_NOTE = (
-    "The edge list is a reconstruction chosen to satisfy the documented "
-    "properties; it is not a measured artifact, and other edge lists "
-    "satisfying the same properties exist."
-)
-
-
-def _localization_graph() -> DiagnosticGraph:
-    nodes = [
-        Node(nid, label=label, frequency_hz=Fraction(hz))
-        for nid, label, hz in _LOCALIZATION_NODES
-    ]
-    edges = [Edge(tester, testee, kind) for tester, testee, kind in _LOCALIZATION_EDGES]
-    return DiagnosticGraph.build(nodes, edges)
-
-
-def _check(name: str, condition: bool) -> None:
-    if not condition:
-        raise RuntimeError(f"scenario self-check failed: {name}")
-
-
-def _build_five_cycle() -> Scenario:
-    graph = _five_cycle_graph()
-    degree, attaining = min_in_degree(graph)
-    _check("five_cycle min in-degree", (degree, attaining) == (1, frozenset(range(1, 6))))
-    _check("five_cycle t_max", max_diagnosability(graph).t_max == 1)
-    two = is_t_diagnosable(graph, 2)
-    _check("five_cycle refuted at t=2", two.failed_condition == "cond_ii")
-    properties = (
-        ScenarioProperty("node_count", 5, "defining constraint"),
-        ScenarioProperty("edge_count", 5, "defining constraint"),
-        ScenarioProperty("min_in_degree", 1, "recomputed from the edge list"),
-        ScenarioProperty("t_max", 1, "recomputed from the edge list"),
-    )
-    return Scenario("five_cycle", graph, properties)
-
-
-def _build_localization() -> Scenario:
-    graph = _localization_graph()
-    degree, attaining = min_in_degree(graph)
-    _check("localization min in-degree", degree == 2 and 6 in attaining)
-    _check(
-        "localization testable set",
-        testable_set(graph, _PINNED_SUBSET) == frozenset({11}),
-    )
-    _check("localization t_max", max_diagnosability(graph).t_max == 1)
-    two = is_t_diagnosable(graph, 2)
-    _check(
-        "localization refuted at t=2",
-        two.failed_condition == "cond_iii"
-        and two.witness.p == 1
-        and len(two.witness.members) == 8,
-    )
-    # The pinned subset must itself refute t=2 (its testable set has size <= 1),
-    # even though the certificate may surface a lexicographically earlier one.
-    _check(
-        "localization pinned witness",
-        len(testable_set(graph, _PINNED_SUBSET)) <= 1,
-    )
-    properties = (
-        ScenarioProperty("node_count", 11, "defining constraint"),
-        ScenarioProperty("min_in_degree", 2, "defining constraint"),
-        ScenarioProperty("min_in_degree_attained_at", 6, "defining constraint"),
-        ScenarioProperty(
-            "testable_set({1,2,3,4,5,8,9,10})",
-            frozenset({11}),
-            "defining constraint",
-        ),
-        ScenarioProperty("t_max", 1, "defining constraint"),
-        ScenarioProperty(
-            "refuted_at_t=2", "cond_iii with p=1, |X|=8", "defining constraint"
-        ),
-        ScenarioProperty(
-            "nodes_at_100hz", frozenset({4, 9, 11}), "defining constraint"
-        ),
-    )
-    return Scenario("localization", graph, properties, notes=_RECONSTRUCTION_NOTE)
-
-
-def _build_pane_100hz() -> Scenario:
-    base = _build_localization().graph
-    graph = frequency_subgraph(base, 100)
-    _check("pane_100hz nodes", graph.node_ids == (4, 9, 11))
-    _check("pane_100hz t_max", max_diagnosability(graph).t_max == 1)
-    properties = (
-        ScenarioProperty("node_ids", (4, 9, 11), "defining constraint"),
-        ScenarioProperty("t_max", 1, "defining constraint"),
-    )
-    return Scenario(
-        "pane_100hz",
-        graph,
-        properties,
-        notes="Induced subgraph of the localization scenario at >= 100 Hz. "
-        + _RECONSTRUCTION_NOTE,
-    )
-
-
-_BUILDERS = {
-    "five_cycle": _build_five_cycle,
-    "localization": _build_localization,
-    "pane_100hz": _build_pane_100hz,
+# One measure of the graph per documented property name.
+_MEASURES: dict[str, Callable[[DiagnosticGraph], object]] = {
+    "node_count": lambda graph: graph.n,
+    "edge_count": lambda graph: len(graph.edges),
+    "node_ids": lambda graph: graph.node_ids,
+    "min_in_degree": lambda graph: min_in_degree(graph)[0],
+    "min_in_degree_attained_at": lambda graph: min_in_degree(graph)[1],
+    "t_max": lambda graph: max_diagnosability(graph).t_max,
+    "refuted_at_t=2": lambda graph: _refutation(graph, 2),
+    "testable_set({1,2,3,4,5,8,9,10})": lambda graph: testable_set(
+        graph, {1, 2, 3, 4, 5, 8, 9, 10}
+    ),
+    "nodes_at_100hz": lambda graph: frozenset(frequency_subgraph(graph, 100).node_ids),
+    "equals_frequency_subgraph(localization,100)": lambda graph: (
+        graph == frequency_subgraph(scenario("localization").graph, 100)
+    ),
 }
 
 
+def _verified(name: str, graph: DiagnosticGraph, entry: dict) -> ScenarioProperty:
+    """Measure the graph for one documented property and compare.
+
+    A list read from JSON takes the measure's type (a node set or a tuple
+    of ids).  A single id expected of a node-set measure names one of its
+    members; anything else must be equal.
+    """
+    prop, expected = entry["name"], entry["expected"]
+    measure = _MEASURES.get(prop)
+    if measure is None:
+        raise RuntimeError(f"scenario self-check failed: {name} {prop}: no measure")
+    measured = measure(graph)
+    if isinstance(expected, list):
+        expected = type(measured)(expected)
+    if not (
+        expected == measured
+        or (
+            isinstance(measured, frozenset)
+            and isinstance(expected, int)
+            and expected in measured
+        )
+    ):
+        raise RuntimeError(
+            f"scenario self-check failed: {name} {prop}: "
+            f"expected {expected!r}, measured {measured!r}"
+        )
+    return ScenarioProperty(prop, expected, entry["provenance"])
+
+
+def _scenario_text(name: str) -> str:
+    """The packaged JSON document of a bundled scenario."""
+    return resources.files(__package__).joinpath("scenarios", f"{name}.json").read_text()
+
+
+@lru_cache(maxsize=None)
 def scenario_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILDERS))
+    folder = resources.files(__package__).joinpath("scenarios")
+    return tuple(
+        sorted(
+            entry.name[: -len(".json")]
+            for entry in folder.iterdir()
+            if entry.name.endswith(".json")
+        )
+    )
 
 
 @lru_cache(maxsize=None)
 def scenario(name: str) -> Scenario:
     """Load a bundled scenario, re-verifying its documented properties."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
+    if name not in scenario_names():
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(scenario_names())}"
-        ) from None
-    return builder()
+        )
+    document = json.loads(_scenario_text(name))
+    graph = graph_from_dict(document)
+    properties = tuple(
+        _verified(name, graph, entry) for entry in document["documented_properties"]
+    )
+    return Scenario(name, graph, properties, notes=document["notes"])
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .graph import (
     as_fraction,
     fraction_to_json,
 )
-from .identification import NodeStatus, _candidate_masks
+from .identification import NodeStatus, _candidate_masks, _group_statuses
 
 
 @dataclass(frozen=True)
@@ -441,54 +441,24 @@ def audit(
         t_used = max_diagnosability(flat, exact_cap=exact_cap).t_max
         masks = _candidate_masks(flat, window_syndrome, t_used)
 
-        group_masks: dict[NodeId, int] = {}
-        for nid in graph.base.node_ids:
-            group = 0
-            for pane in sub.panes:
-                group |= 1 << flat.positions[sub.flat_id((pane, nid))]
-            group_masks[nid] = group
+        # Flat ids number the window's vertices pane by pane, so a module's
+        # copies sit one base width apart.
+        width = graph.base.n
+        column = sum(1 << (index * width) for index in range(len(sub.panes)))
+        groups = [column << pos for pos in range(width)]
         constant = [
             mask
             for mask in masks
-            if all(
-                (mask & group) == 0 or (mask & group) == group
-                for group in group_masks.values()
-            )
+            if all((mask & group) == 0 or (mask & group) == group for group in groups)
         ]
-
-        statuses = {}
-        if not constant:
-            statuses = {nid: NodeStatus.UNKNOWN for nid in graph.base.node_ids}
-        else:
-            for nid, group in group_masks.items():
-                if all(mask & group == group for mask in constant):
-                    statuses[nid] = NodeStatus.KNOWN_FAULTY
-                elif all(mask & group == 0 for mask in constant):
-                    statuses[nid] = NodeStatus.KNOWN_FAULT_FREE
-                else:
-                    statuses[nid] = NodeStatus.UNKNOWN
+        statuses = dict(zip(graph.base.node_ids, _group_statuses(constant, groups)))
 
         vertex_statuses = None
         if include_vertices:
-            vertex_statuses = {}
-            if masks:
-                everywhere = masks[0]
-                anywhere = 0
-                for mask in masks:
-                    everywhere &= mask
-                    anywhere |= mask
-            for vertex in sub.vertices:
-                if not masks:
-                    vertex_statuses[vertex] = NodeStatus.UNKNOWN
-                    continue
-                bit = 1 << flat.positions[sub.flat_id(vertex)]
-                if everywhere & bit:
-                    vertex_statuses[vertex] = NodeStatus.KNOWN_FAULTY
-                elif not anywhere & bit:
-                    vertex_statuses[vertex] = NodeStatus.KNOWN_FAULT_FREE
-                else:
-                    vertex_statuses[vertex] = NodeStatus.UNKNOWN
-            vertex_statuses = MappingProxyType(vertex_statuses)
+            bits = [1 << flat_id for flat_id in range(flat.n)]
+            vertex_statuses = MappingProxyType(
+                dict(zip(sub.vertices, _group_statuses(masks, bits)))
+            )
 
         results.append(
             WindowAudit(

@@ -340,10 +340,54 @@ class TestMalformedDocuments:
             {"nodes": [{"id": [1]}], "edges": []},
             {"nodes": [{"id": 1, "hz": [100]}], "edges": []},
             {"nodes": 5, "edges": []},
+            {"nodes": [{"id": 1}, {"id": 2}], "edges": [{"tester": 1, "testee": 1}]},
+            {
+                "nodes": [{"id": 1}, {"id": 2}],
+                "edges": [{"tester": 1, "testee": 2}, {"tester": 1, "testee": 2}],
+            },
+            {"nodes": [{"id": 1}, {"id": 2}], "edges": [{"tester": 1, "testee": 3}]},
         ],
     )
     def test_graph(self, capsys, tmp_path, document):
         path = tmp_path / "g.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(1, 1)], "self-loop: edge (1, 1)"),
+            ([(1, 2), (1, 2)], "duplicate edge: (1, 2)"),
+            ([(1, 3)], "dangling endpoint: edge (1, 3) references undeclared node 3"),
+        ],
+    )
+    def test_invalid_graph_reports_the_violation(self, capsys, tmp_path, edges, message):
+        document = {
+            "nodes": [{"id": 1}, {"id": 2}],
+            "edges": [{"tester": a, "testee": b} for a, b in edges],
+        }
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            {"interval": 5, "hz": 100},
+            {"interval": [0, 0.02]},
+            {"interval": [0, 0.02], "hz": 100, "template": {"offsets": 3}},
+            {"interval": [0, 0.02], "hz": 100, "template": 7},
+            [1],
+        ],
+    )
+    def test_temporal_recipe(self, capsys, tmp_path, recipe):
+        document = {"base": graph_to_dict(scenario("pane_100hz").graph), "temporal": recipe}
+        path = tmp_path / "t.json"
         path.write_text(json.dumps(document))
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2

@@ -11,6 +11,8 @@ from conftest import cycle_syndrome, random_digraph
 from diagkit.diagnosability import max_diagnosability
 from diagkit.errors import SizeCapError
 from diagkit.graph import pmc_compatible
+from diagkit import simulator
+from diagkit.cli import _jsonable
 from diagkit.identification import VerdictKind, all_consistent_fault_sets
 from diagkit.jsonio import graph_from_dict
 from diagkit.simulator import (
@@ -145,14 +147,109 @@ class TestScenarios:
         with pytest.raises(ValueError, match="unknown scenario"):
             scenario("nope")
 
-    def test_bundled_files_match_builders(self):
+    def test_bundled_files_hold_their_property_lists(self):
         for name in scenario_names():
-            raw = (
-                resources.files("diagkit")
-                .joinpath("scenarios", f"{name}.json")
-                .read_text()
-            )
-            assert graph_from_dict(json.loads(raw)) == scenario(name).graph
+            document = json.loads(_packaged_text(name))
+            scen = scenario(name)
+            assert scen.graph == graph_from_dict(document)
+            listed = [
+                {"name": p.name, "expected": _jsonable(p.expected), "provenance": p.provenance}
+                for p in scen.documented_properties
+            ]
+            assert listed == document["documented_properties"]
+            assert scen.notes == document["notes"]
+
+    def test_property_lists_cover_every_self_check(self):
+        names = {
+            name: [p.name for p in scenario(name).documented_properties]
+            for name in scenario_names()
+        }
+        assert names == {
+            "five_cycle": [
+                "node_count",
+                "edge_count",
+                "min_in_degree",
+                "t_max",
+                "min_in_degree_attained_at",
+                "refuted_at_t=2",
+            ],
+            "localization": [
+                "node_count",
+                "min_in_degree",
+                "min_in_degree_attained_at",
+                "testable_set({1,2,3,4,5,8,9,10})",
+                "t_max",
+                "refuted_at_t=2",
+                "nodes_at_100hz",
+            ],
+            "pane_100hz": [
+                "node_ids",
+                "t_max",
+                "equals_frequency_subgraph(localization,100)",
+            ],
+        }
+        five_cycle = {p.name: p.expected for p in scenario("five_cycle").documented_properties}
+        assert five_cycle["min_in_degree_attained_at"] == frozenset({1, 2, 3, 4, 5})
+
+    def test_every_documented_property_is_verified_on_load(self, served):
+        for name in scenario_names():
+            document = json.loads(_packaged_text(name))
+            for entry in document["documented_properties"]:
+                original = entry["expected"]
+                entry["expected"] = _wrong(original)
+                served[name] = json.dumps(document)
+                scenario.cache_clear()
+                with pytest.raises(RuntimeError, match="scenario self-check failed"):
+                    scenario(name)
+                entry["expected"] = original
+            del served[name]
+
+    def test_document_with_an_edge_removed_fails_to_load(self, served):
+        for name in scenario_names():
+            document = json.loads(_packaged_text(name))
+            del document["edges"][0]
+            served[name] = json.dumps(document)
+            scenario.cache_clear()
+            with pytest.raises(RuntimeError, match="scenario self-check failed"):
+                scenario(name)
+            del served[name]
+
+    def test_unmeasured_property_fails_to_load(self, served):
+        document = json.loads(_packaged_text("five_cycle"))
+        document["documented_properties"].append(
+            {"name": "girth", "expected": 5, "provenance": "defining constraint"}
+        )
+        served["five_cycle"] = json.dumps(document)
+        with pytest.raises(RuntimeError, match="five_cycle girth: no measure"):
+            scenario("five_cycle")
+
+
+def _packaged_text(name):
+    return resources.files("diagkit").joinpath("scenarios", f"{name}.json").read_text()
+
+
+def _wrong(value):
+    """A JSON value that no correct measure of a bundled scenario gives."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return -1
+    if isinstance(value, list):
+        return value + [99]
+    return value + "?"
+
+
+@pytest.fixture
+def served(monkeypatch):
+    """Scenario documents to serve in place of the packaged ones, by name."""
+    documents = {}
+    packaged = simulator._scenario_text
+    monkeypatch.setattr(
+        simulator, "_scenario_text", lambda name: documents.get(name) or packaged(name)
+    )
+    scenario.cache_clear()
+    yield documents
+    scenario.cache_clear()
 
 
 class TestMonteCarlo:
