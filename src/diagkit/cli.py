@@ -200,14 +200,14 @@ def cmd_expand(args: argparse.Namespace) -> int:
     flat = expansion.flat_graph
     human = (
         f"expanded to {len(expansion.panes)} panes, {flat.n} vertices, "
-        f"{len(expansion.edges)} edges"
+        f"{len(flat.edges)} edges"
     )
     if args.out:
         human += f"; written to {args.out}"
     summary = {
         "panes": list(expansion.panes),
         "vertices": flat.n,
-        "edges": len(expansion.edges),
+        "edges": len(flat.edges),
         "temporal": document["temporal"],
     }
     _emit(args, summary, human if args.out else human + "\n" + rendered.rstrip("\n"))

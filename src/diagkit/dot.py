@@ -44,25 +44,24 @@ def graph_to_dot(
 def temporal_to_dot(
     graph: TemporalGraph, syndrome: Syndrome | None = None, name: str = "T"
 ) -> str:
-    """Temporal graphs render vertices as ``<pane>:<base id>``."""
+    """Temporal graphs render vertices as ``<pane>:<base id>``.
+
+    An edge is labeled ``temporal`` when it crosses panes, whatever its kind.
+    """
     flat = graph.flat_graph
     if syndrome is not None:
         syndrome.require_total(flat)
+    width = graph.base.n
+    names = [_quote(node.label) for node in flat.nodes]
     lines = [f"digraph {name} {{"]
-    for vertex in graph.vertices:
-        pane, nid = vertex
-        lines.append(f"  {_quote(f'{pane}:{nid}')};")
-    for (va, vb) in graph.edges:
+    lines.extend(f"  {vertex};" for vertex in names)
+    for edge in flat.edges:
         attrs = []
-        if va[0] != vb[0]:
+        if edge.tester // width != edge.testee // width:
             attrs.append(f"label={_quote(EdgeKind.TEMPORAL.value)}")
-        if syndrome is not None:
-            value = syndrome.value(graph.flat_id(va), graph.flat_id(vb))
-            if value == 1:
-                attrs.append(_FAIL_ATTRS)
+        if syndrome is not None and syndrome.value(*edge.pair) == 1:
+            attrs.append(_FAIL_ATTRS)
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(
-            f"  {_quote(f'{va[0]}:{va[1]}')} -> {_quote(f'{vb[0]}:{vb[1]}')}{suffix};"
-        )
+        lines.append(f"  {names[edge.tester]} -> {names[edge.testee]}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -85,12 +85,17 @@ class StatusReport:
         return {str(nid): status.value for nid, status in sorted(self.statuses.items())}
 
 
-def _candidate_masks(graph: DiagnosticGraph, syndrome: Syndrome, t: int) -> list[int]:
-    """All fault sets of size <= t compatible with the syndrome, as bitmasks."""
+def _require_inputs(graph: DiagnosticGraph, syndrome: Syndrome, t: object) -> None:
+    """A valid graph, a syndrome covering it and a non-negative integer t."""
     graph.require_valid()
     syndrome.require_total(graph)
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise ValueError(f"t must be a non-negative integer, got {t!r}")
+
+
+def _candidate_masks(graph: DiagnosticGraph, syndrome: Syndrome, t: int) -> list[int]:
+    """All fault sets of size <= t compatible with the syndrome, as bitmasks."""
+    _require_inputs(graph, syndrome, t)
     full = (1 << graph.n) - 1
     failed = failed_masks(graph, syndrome)
     passed = [out & ~flagged for out, flagged in zip(graph.out_masks, failed)]
@@ -197,10 +202,7 @@ def all_consistent_fault_sets(
     lexicographically.  Exhaustive over all subsets, hence the node cap.
     Each subset is tested by the ``pmc_compatible`` predicate on bitmasks.
     """
-    graph.require_valid()
-    syndrome.require_total(graph)
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise ValueError(f"t must be a non-negative integer, got {t!r}")
+    _require_inputs(graph, syndrome, t)
     if graph.n > cap:
         raise SizeCapError(
             f"exhaustive enumeration restricted to small graphs (n <= {cap}, "

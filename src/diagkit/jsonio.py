@@ -196,11 +196,13 @@ def temporal_from_dict(data: dict) -> TemporalGraph:
     if not isinstance(offsets, (list, tuple)):
         raise ValueError(message)
     try:
-        offsets = frozenset(int(o) for o in offsets)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(message) from exc
+        integral = all(not isinstance(o, bool) and int(o) == o for o in offsets)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(message)
     template = TemporalTemplate(
-        offsets=offsets,
+        offsets=frozenset(offsets),
         bidirectional=bool(tmpl.get("bidirectional", False)),
         base_identity_only=bool(tmpl.get("identity_only", True)),
     )

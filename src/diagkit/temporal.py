@@ -7,10 +7,17 @@ the template's offsets.  The default template — offset 1, one-directional,
 same-node only — is the minimal construction: each module checks its own
 next occurrence.
 
-Restriction crops a temporal graph to a subinterval, keeping the panes
-anchored inside it and all surviving edges.  Diagnosability can only drop
-under restriction, which is what the profile over a nested chain of
-intervals records.
+A temporal graph stores one edge list, its flat graph: vertex (pane, base
+id) gets the dense id ``pane_index * width + base_position``, and one
+builder emits the pane copies and the cross-time edges under that
+numbering.  The views by (pane, base id) are derived from it.
+
+Restriction crops a temporal graph to a subinterval.  The panes anchored
+inside it form a contiguous run, and the subgraph they induce is exactly
+the expansion over that run, so a restriction is built like an expansion;
+its flat ids are the parent's, shifted by the run's first pane.
+Diagnosability can only drop under restriction, which is what the profile
+over a nested chain of intervals records.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .diagnosability import (
     DEFAULT_EXACT_CAP,
@@ -96,8 +103,10 @@ TemporalEdge = tuple[TemporalVertex, TemporalVertex]
 class TemporalGraph:
     """Panes of a base graph over an interval, plus cross-time edges.
 
-    Pane k is anchored at time k / frequency_hz.  The flat view re-labels
-    vertices with dense integer ids so the ordinary analyses apply.
+    Pane k is anchored at time k / frequency_hz; ``panes`` is a contiguous
+    run of pane indices, possibly empty after a restriction.  The one edge
+    list is ``flat_graph``, built from these fields on first use; ``edges``
+    and ``vertices`` are views of it by (pane, base id).
     """
 
     base: DiagnosticGraph
@@ -105,57 +114,77 @@ class TemporalGraph:
     frequency_hz: Fraction
     template: TemporalTemplate
     panes: tuple[int, ...]
-    edges: tuple[TemporalEdge, ...]
-
-    @property
-    def vertices(self) -> tuple[TemporalVertex, ...]:
-        return tuple(
-            (pane, nid) for pane in self.panes for nid in self.base.node_ids
-        )
 
     def pane_time(self, pane: int) -> Fraction:
         return Fraction(pane, 1) / self.frequency_hz
 
     @cached_property
-    def _pane_starts(self) -> Mapping[int, int]:
-        """Flat id of each pane's first vertex: ``pane_index * width``."""
-        width = self.base.n
-        return MappingProxyType(
-            {pane: index * width for index, pane in enumerate(self.panes)}
+    def flat_graph(self) -> DiagnosticGraph:
+        """The expansion as a plain diagnostic graph with dense ids.
+
+        Vertex (pane, nid) gets id ``pane_index * width + base_position``
+        and label ``<pane>:<nid>``.  Each pane copies the base edges with
+        their kinds; each template offset adds ``TEMPORAL`` edges to the
+        pane that far ahead, and back from it when bidirectional.
+        """
+        base, template = self.base, self.template
+        width, count = base.n, len(self.panes)
+        nodes = [
+            Node(index * width + p, f"{pane}:{node.id}", node.frequency_hz)
+            for index, pane in enumerate(self.panes)
+            for p, node in enumerate(base.nodes)
+        ]
+        pos = base.positions
+        local = [(pos[edge.tester], pos[edge.testee], edge.kind) for edge in base.edges]
+        if template.base_identity_only:
+            pairs = [(p, p) for p in range(width)]
+        else:
+            pairs = [(i, j) for i in range(width) for j in range(width)]
+        temporal = EdgeKind.TEMPORAL
+        edges: list[Edge] = []
+        for index in range(count):
+            start = index * width
+            edges.extend(Edge(start + i, start + j, kind) for i, j, kind in local)
+            for offset in sorted(template.offsets):
+                if index + offset >= count:
+                    break
+                far = start + offset * width
+                for i, j in pairs:
+                    edges.append(Edge(start + i, far + j, temporal))
+                    if template.bidirectional:
+                        edges.append(Edge(far + j, start + i, temporal))
+        return DiagnosticGraph.build(nodes, edges)
+
+    @cached_property
+    def vertices(self) -> tuple[TemporalVertex, ...]:
+        """``(pane, base id)`` of each flat id, in flat-id order."""
+        return tuple((pane, nid) for pane in self.panes for nid in self.base.node_ids)
+
+    @cached_property
+    def edges(self) -> tuple[TemporalEdge, ...]:
+        """The flat edges by vertex, in flat order; endpoints are shared tuples."""
+        vertex = self.vertices
+        return tuple(
+            (vertex[edge.tester], vertex[edge.testee]) for edge in self.flat_graph.edges
         )
 
     def flat_id(self, vertex: TemporalVertex) -> int:
         pane, nid = vertex
-        return self._pane_starts[pane] + self.base.positions[nid]
+        if not self.panes or not self.panes[0] <= pane <= self.panes[-1]:
+            raise KeyError(pane)
+        return (pane - self.panes[0]) * self.base.n + self.base.positions[nid]
 
     def vertex_of(self, flat_id: int) -> TemporalVertex:
-        return self.vertices[flat_id]
+        width, count = self.base.n, len(self.panes) * self.base.n
+        if not 0 <= flat_id < count:
+            raise IndexError(f"no flat id {flat_id} among {count} vertices")
+        index, position = divmod(flat_id, width)
+        return (self.panes[index], self.base.node_ids[position])
 
-    @cached_property
-    def flat_graph(self) -> DiagnosticGraph:
-        """The expansion as a plain diagnostic graph with dense ids.
 
-        Vertex (pane, nid) gets id ``pane_index * width + base_position``,
-        so ids follow the vertex order and edges keep theirs.
-        """
-        starts = self._pane_starts
-        pos = self.base.positions
-        nodes = [
-            Node(id=start + p, label=f"{pane}:{node.id}", frequency_hz=node.frequency_hz)
-            for pane, start in starts.items()
-            for p, node in enumerate(self.base.nodes)
-        ]
-        kinds = {edge.pair: edge.kind for edge in self.base.edges}
-        temporal = EdgeKind.TEMPORAL
-        edges = [
-            Edge(
-                starts[pane_a] + pos[id_a],
-                starts[pane_b] + pos[id_b],
-                kinds[(id_a, id_b)] if pane_a == pane_b else temporal,
-            )
-            for (pane_a, id_a), (pane_b, id_b) in self.edges
-        ]
-        return DiagnosticGraph.build(nodes, edges)
+def _panes(rate: Fraction, interval: Interval) -> tuple[int, ...]:
+    """Indices k of the sample times k / rate that lie in ``interval``."""
+    return tuple(range(math.ceil(interval.a * rate), math.floor(interval.b * rate) + 1))
 
 
 def expand(
@@ -174,70 +203,26 @@ def expand(
     rate = as_fraction(frequency_hz)
     if rate <= 0:
         raise ValueError(f"frequency must be positive, got {rate}")
-    first = math.ceil(interval.a * rate)
-    last = math.floor(interval.b * rate)
-    if first > last:
+    panes = _panes(rate, interval)
+    if not panes:
         raise GraphError(
             f"empty expansion: no sample time k/{rate} lies in {interval}"
         )
-    panes = tuple(range(first, last + 1))
-    ids = base.node_ids
-    # One tuple per vertex, shared by all its edges; the sort below then
-    # finds equal endpoints by identity.
-    vertex = {pane: {nid: (pane, nid) for nid in ids} for pane in panes}
-    edges: list[TemporalEdge] = []
-    for pane in panes:
-        row = vertex[pane]
-        edges.extend((row[edge.tester], row[edge.testee]) for edge in base.edges)
-    if template.base_identity_only:
-        pairs = [(nid, nid) for nid in ids]
-    else:
-        pairs = [(i, j) for i in ids for j in ids]
-    for pane in panes:
-        row = vertex[pane]
-        for offset in sorted(template.offsets):
-            other = pane + offset
-            if other > last:
-                continue
-            far = vertex[other]
-            for i, j in pairs:
-                edges.append((row[i], far[j]))
-                if template.bidirectional:
-                    edges.append((far[j], row[i]))
-    edges.sort()
-    return TemporalGraph(
-        base=base,
-        interval=interval,
-        frequency_hz=rate,
-        template=template,
-        panes=panes,
-        edges=tuple(edges),
-    )
+    return TemporalGraph(base, interval, rate, template, panes)
 
 
 def restrict(graph: TemporalGraph, sub: Interval) -> TemporalGraph:
-    """Crop to a subinterval: keep panes anchored inside it, induce edges."""
+    """Crop to a subinterval: the expansion over ``sub``, which may have no pane.
+
+    The panes anchored in ``sub`` are a contiguous run of the graph's, and
+    the subgraph they induce is exactly the expansion over that run.
+    """
     if not graph.interval.contains(sub):
         raise ValueError(
             f"restriction interval {sub} is not contained in {graph.interval}"
         )
-    kept = tuple(
-        pane for pane in graph.panes if sub.a <= graph.pane_time(pane) <= sub.b
-    )
-    kept_set = set(kept)
-    edges = tuple(
-        edge
-        for edge in graph.edges
-        if edge[0][0] in kept_set and edge[1][0] in kept_set
-    )
-    return TemporalGraph(
-        base=graph.base,
-        interval=sub,
-        frequency_hz=graph.frequency_hz,
-        template=graph.template,
-        panes=kept,
-        edges=edges,
-    )
+    rate = graph.frequency_hz
+    return TemporalGraph(graph.base, sub, rate, graph.template, _panes(rate, sub))
 
 
 def frequency_subgraph(
@@ -413,10 +398,8 @@ def audit(
             f"window {windows[-1]} is not contained in the graph interval "
             f"{graph.interval}"
         )
-    by_temporal_edge = {
-        edge: syndrome.value(graph.flat_id(edge[0]), graph.flat_id(edge[1]))
-        for edge in graph.edges
-    }
+    outcomes = syndrome.outcomes
+    width = graph.base.n
     results: list[WindowAudit] = []
     for window in windows:
         sub = restrict(graph, window)
@@ -432,10 +415,12 @@ def audit(
                 f"audit window {window} expands to {flat.n} vertices, beyond the "
                 f"exact cap of {exact_cap}"
             )
+        # The window's flat ids are the graph's, shifted by its first pane.
+        shift = (sub.panes[0] - graph.panes[0]) * width
         window_syndrome = Syndrome(
             {
-                (sub.flat_id(edge[0]), sub.flat_id(edge[1])): by_temporal_edge[edge]
-                for edge in sub.edges
+                (e.tester, e.testee): outcomes[(e.tester + shift, e.testee + shift)]
+                for e in flat.edges
             }
         )
         t_used = max_diagnosability(flat, exact_cap=exact_cap).t_max
@@ -443,7 +428,6 @@ def audit(
 
         # Flat ids number the window's vertices pane by pane, so a module's
         # copies sit one base width apart.
-        width = graph.base.n
         column = sum(1 << (index * width) for index in range(len(sub.panes)))
         groups = [column << pos for pos in range(width)]
         constant = [

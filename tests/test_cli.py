@@ -383,6 +383,8 @@ class TestMalformedDocuments:
             {"interval": [0, 0.02], "hz": 100, "template": {"offsets": 3}},
             {"interval": [0, 0.02], "hz": 100, "template": 7},
             [1],
+            {"interval": [0, 0.02], "hz": 100, "template": {"offsets": [1.5]}},
+            {"interval": [0, 0.02], "hz": 100, "template": {"offsets": [True]}},
         ],
     )
     def test_temporal_recipe(self, capsys, tmp_path, recipe):
