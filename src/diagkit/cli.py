@@ -4,7 +4,8 @@ Exit codes: 0 for success (diagnosable / unique verdict), 1 for a negative
 analytic result (not diagnosable, ambiguous, inconsistent), 2 for usage or
 input errors.  Every subcommand emits a single JSON document on stdout when
 given --json.  The DIAGKIT_EXACT_CAP environment variable overrides the
-default node cap for exact diagnosability.
+default node cap for exact diagnosability; a value that is not an integer
+is an input error.
 """
 
 from __future__ import annotations
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exact-cap",
         type=int,
-        default=_default_exact_cap(),
+        default=None,
         help="node cap for exact search (env DIAGKIT_EXACT_CAP)",
     )
     common(p)
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offsets", default="1")
     p.add_argument("--bidirectional", action="store_true")
     p.add_argument("--cross-module", action="store_true")
-    p.add_argument("--exact-cap", type=int, default=_default_exact_cap())
+    p.add_argument("--exact-cap", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_profile)
 
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--windows", required=True, help='nested ascending, e.g. "0:0,0:0.01,0:0.02"'
     )
     p.add_argument("--vertex-level", action="store_true")
-    p.add_argument("--exact-cap", type=int, default=_default_exact_cap())
+    p.add_argument("--exact-cap", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_audit)
 
@@ -420,6 +421,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Read here, not as a parser default, so a bad value is an input error.
+        exact_cap = _default_exact_cap()
+        if "exact_cap" in vars(args) and args.exact_cap is None:
+            args.exact_cap = exact_cap
         return args.func(args)
     except (DiagkitError, OSError, ValueError, json.JSONDecodeError) as exc:
         message = f"error: {exc}"

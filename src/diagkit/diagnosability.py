@@ -356,15 +356,18 @@ def common_syndrome(
 
 
 def _shared_syndrome(graph: DiagnosticGraph, mask_a: int, mask_b: int) -> Syndrome:
-    """The syndrome of two fault sets whose forced outcomes agree; unforced are 0."""
-    pos = graph.positions
-    outcomes = {}
-    for edge in graph.edges:
-        tester = 1 << pos[edge.tester]
-        # A tester outside B reports B's faults, else one outside A reports A's.
-        truth = mask_b if not tester & mask_b else mask_a if not tester & mask_a else 0
-        outcomes[edge.pair] = truth >> pos[edge.testee] & 1
-    return Syndrome(outcomes)
+    """The syndrome of two fault sets whose forced outcomes agree; unforced are 0.
+
+    Held as masks: a tester outside B fails B's members among its testees,
+    else one outside A fails A's, else it fails none.
+    """
+    failed = []
+    bit = 1
+    for out in graph.out_masks:
+        truth = mask_b if not bit & mask_b else mask_a if not bit & mask_a else 0
+        failed.append(out & truth)
+        bit <<= 1
+    return Syndrome._from_masks(graph, failed)
 
 
 def oracle_is_t_diagnosable(

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphError, SyndromeError
 
@@ -72,6 +72,23 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def as_integer(value: object) -> int | None:
+    """``value`` as an int if it is a non-bool number equal to an integer, else None.
+
+    The one integrality rule for node ids, outcome values and template
+    offsets: ``3`` and ``3.0`` pass, ``1.5``, ``True`` and ``"3"`` do not.
+    """
+    if type(value) is int:  # the common case; bool is a subclass, not int
+        return value
+    if isinstance(value, bool):
+        return None
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if number == value else None
+
+
 def fraction_to_json(x: Fraction) -> float | str:
     """A JSON number when ``x`` has an exact decimal spelling, else "p/q"."""
     value = float(x)
@@ -115,8 +132,23 @@ class Edge:
         return (self.tester, self.testee)
 
 
-@dataclass(frozen=True)
-class DiagnosticGraph:
+class _Frozen:
+    """Instances refuse attribute assignment, like a frozen dataclass.
+
+    Cached views are written straight into the instance dict, as
+    :class:`functools.cached_property` does.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class DiagnosticGraph(_Frozen):
     """A set of modules plus the test assignments between them.
 
     Invariants (checked by :func:`validate` / :meth:`require_valid`):
@@ -125,15 +157,23 @@ class DiagnosticGraph:
 
     Node ids are kept as small integers so that node subsets can live in
     machine-word bitmasks; subset enumeration dominates the runtime of the
-    analyses built on top of this type.
+    analyses built on top of this type.  A graph built from nodes and edges
+    keeps both, sorted by id and by (tester, testee).  A graph built from
+    masks (:meth:`_from_masks`) is valid by construction and keeps its node
+    ids and ``out_masks``; its ``nodes`` and ``edges`` are views built on
+    first read, with the same values and order.
     """
 
-    nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
+    # Set on mask-built graphs only: the node at a position, and the kind
+    # of the edge between a tester and a testee position.
+    _node: Callable[[int], Node] | None = None
+    _kind: Callable[[int, int], EdgeKind] | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=_BY_ID)))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=_BY_PAIR)))
+    def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]) -> None:
+        vars(self).update(
+            nodes=tuple(sorted(nodes, key=_BY_ID)),
+            edges=tuple(sorted(edges, key=_BY_PAIR)),
+        )
 
     @classmethod
     def build(
@@ -143,6 +183,60 @@ class DiagnosticGraph:
         graph = cls(tuple(nodes), tuple(edges))
         graph.require_valid()
         return graph
+
+    @classmethod
+    def _from_masks(
+        cls,
+        node_ids: Sequence[NodeId],
+        out_masks: Sequence[int],
+        node: Callable[[int], Node],
+        kind: Callable[[int, int], EdgeKind],
+    ) -> "DiagnosticGraph":
+        """A graph that is valid by construction, from masks; nothing is checked.
+
+        ``node_ids`` must ascend and be non-negative, and ``out_masks[p]``
+        must hold only positions of the graph other than p.  ``node(p)``
+        gives the node at position p and ``kind(p, q)`` the kind of edge
+        (p, q); both are called when ``nodes`` or ``edges`` is first read.
+        """
+        graph = cls.__new__(cls)
+        vars(graph).update(
+            node_ids=tuple(node_ids),
+            out_masks=tuple(out_masks),
+            violations=(),
+            _node=node,
+            _kind=kind,
+        )
+        return graph
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nodes, self.edges) == (other.nodes, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges))
+
+    def __repr__(self) -> str:
+        name = type(self).__qualname__
+        return f"{name}(nodes={self.nodes!r}, edges={self.edges!r})"
+
+    def __reduce__(self) -> tuple:
+        # Pickled and copied by value, so a mask-built graph travels too.
+        return (type(self), (self.nodes, self.edges))
+
+    # -- views of a mask-built graph ----------------------------------------
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(map(self._node, range(len(self.node_ids))))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        ids, kind = self.node_ids, self._kind
+        return tuple(
+            Edge(ids[u], ids[v], kind(u, v)) for u, v in self.position_pairs()
+        )
 
     # -- structural validation -------------------------------------------
 
@@ -178,7 +272,7 @@ class DiagnosticGraph:
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.node_ids)
 
     @cached_property
     def node_ids(self) -> tuple[NodeId, ...]:
@@ -213,14 +307,32 @@ class DiagnosticGraph:
     def tester_masks(self) -> tuple[int, ...]:
         """Per position, bitmask of in-neighbours (the nodes testing it)."""
         masks = [0] * self.n
-        pos = self.positions
-        for edge in self.edges:
-            masks[pos[edge.testee]] |= 1 << pos[edge.tester]
+        bit = 1
+        for out in self.out_masks:
+            while out:
+                low = out & -out
+                masks[low.bit_length() - 1] |= bit
+                out ^= low
+            bit <<= 1
         return tuple(masks)
 
     @cached_property
     def in_degrees(self) -> tuple[int, ...]:
         return tuple(mask.bit_count() for mask in self.tester_masks)
+
+    def position_pairs(self) -> Iterator[tuple[int, int]]:
+        """(tester, testee) positions of every edge, in edge order.
+
+        Each row is shifted down to its lowest bit first, so that a row of
+        a large graph costs its few bits, not its length, per step.
+        """
+        for tester, out in enumerate(self.out_masks):
+            offset = (out & -out).bit_length() - 1 if out else 0
+            out >>= offset
+            while out:
+                low = out & -out
+                yield tester, offset + low.bit_length() - 1
+                out ^= low
 
     def mask_of(self, members: Iterable[NodeId]) -> int:
         pos = self.positions
@@ -250,38 +362,95 @@ class DiagnosticGraph:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Syndrome:
+def coverage_error(
+    missing: Sequence[tuple[NodeId, NodeId]], unknown: Sequence[tuple[NodeId, NodeId]]
+) -> SyndromeError:
+    """The error for outcomes that miss edges or name edges the graph lacks."""
+    parts = []
+    if missing:
+        parts.append(f"missing outcomes for edges {list(missing)}")
+    if unknown:
+        parts.append(f"outcomes for unknown edges {list(unknown)}")
+    return SyndromeError(
+        "syndrome must cover every edge exactly once: " + "; ".join(parts)
+    )
+
+
+class Syndrome(_Frozen):
     """The complete vector of test outcomes, keyed by (tester, testee).
 
     1 means the tester flagged the testee as faulty, 0 that the check
     passed.  A syndrome is only meaningful relative to a graph whose edge
     set it covers exactly; see :meth:`require_total`.
+
+    Ids and outcomes follow one integrality rule (:func:`as_integer`):
+    ``1.0`` reads as 1, while ``0.7``, ``True`` and ``"1"`` are rejected.
+    A syndrome can also be held as per-tester failed masks against one
+    graph (:meth:`_from_masks`); ``outcomes`` is then built on first read.
     """
 
-    outcomes: Mapping[tuple[NodeId, NodeId], int]
+    # Set on mask-held syndromes only: the graph, per tester position the
+    # testees it failed, and the (tester, testee) positions in reading order.
+    _graph: DiagnosticGraph | None = None
+    _failed: tuple[int, ...] = ()
+    _order: Sequence[tuple[int, int]] | None = None
 
-    def __post_init__(self) -> None:
-        outcomes = dict(self.outcomes)
-        try:
-            normalized = {
-                (int(tester), int(testee)): int(value)
-                for (tester, testee), value in outcomes.items()
-            }
-        except (TypeError, ValueError, OverflowError):
-            normalized = None
-        if normalized is None or not _BINARY.issuperset(normalized.values()):
-            # Re-scan in order, so the first bad entry names the error.
-            normalized = {}
-            for (tester, testee), value in outcomes.items():
-                value = int(value)
-                if value not in _BINARY:
-                    raise SyndromeError(
-                        f"outcome for edge ({tester}, {testee}) must be 0 or 1, "
-                        f"got {value}"
-                    )
-                normalized[(int(tester), int(testee))] = value
-        object.__setattr__(self, "outcomes", MappingProxyType(normalized))
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, outcomes: Mapping[tuple[NodeId, NodeId], int]) -> None:
+        normalized = {}
+        for (tester, testee), value in dict(outcomes).items():
+            outcome = as_integer(value)
+            if outcome not in _BINARY:
+                raise SyndromeError(
+                    f"outcome for edge ({tester}, {testee}) must be 0 or 1, "
+                    f"got {value!r}"
+                )
+            pair = (as_integer(tester), as_integer(testee))
+            if None in pair:
+                raise SyndromeError(
+                    f"outcome for edge ({tester!r}, {testee!r}) must name "
+                    "integer node ids"
+                )
+            normalized[pair] = outcome
+        vars(self)["outcomes"] = MappingProxyType(normalized)
+
+    @classmethod
+    def _from_masks(
+        cls,
+        graph: DiagnosticGraph,
+        failed: Sequence[int],
+        order: Sequence[tuple[int, int]] | None = None,
+    ) -> "Syndrome":
+        """The syndrome over ``graph`` whose tester at position p fails the
+        testees in ``failed[p]``, a subset of ``graph.out_masks[p]``.
+
+        ``order`` lists every edge once, as (tester, testee) positions, in
+        the order ``outcomes`` should have; by default it is edge order.
+        """
+        syndrome = cls.__new__(cls)
+        vars(syndrome).update(_graph=graph, _failed=tuple(failed), _order=order)
+        return syndrome
+
+    @cached_property
+    def outcomes(self) -> Mapping[tuple[NodeId, NodeId], int]:
+        graph, failed = self._graph, self._failed
+        ids = graph.node_ids
+        order = graph.position_pairs() if self._order is None else self._order
+        return MappingProxyType(
+            {(ids[u], ids[v]): failed[u] >> v & 1 for u, v in order}
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.outcomes == other.outcomes
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(outcomes={self.outcomes!r})"
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (dict(self.outcomes),))
 
     @classmethod
     def all_clear(cls, graph: DiagnosticGraph) -> "Syndrome":
@@ -298,21 +467,13 @@ class Syndrome:
 
     def require_total(self, graph: DiagnosticGraph) -> None:
         """Raise unless this syndrome covers every edge of ``graph`` exactly."""
+        if graph is self._graph:
+            return
         expected = graph.edge_pairs
         if self.outcomes.keys() == expected:
             return
         got = set(self.outcomes)
-        missing = sorted(expected - got)
-        unknown = sorted(got - expected)
-        if missing or unknown:
-            parts = []
-            if missing:
-                parts.append(f"missing outcomes for edges {missing}")
-            if unknown:
-                parts.append(f"outcomes for unknown edges {unknown}")
-            raise SyndromeError(
-                "syndrome must cover every edge exactly once: " + "; ".join(parts)
-            )
+        raise coverage_error(sorted(expected - got), sorted(got - expected))
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +591,8 @@ def pmc_compatible(
 
 def failed_masks(graph: DiagnosticGraph, syndrome: Syndrome) -> tuple[int, ...]:
     """Per position, bitmask of the testees it failed; needs a total syndrome."""
+    if syndrome._graph is graph:
+        return syndrome._failed
     masks = [0] * graph.n
     pos = graph.positions
     for (tester, testee), value in syndrome.outcomes.items():

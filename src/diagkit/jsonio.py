@@ -37,6 +37,8 @@ from .graph import (
     Node,
     Syndrome,
     as_fraction,
+    as_integer,
+    coverage_error,
     fraction_to_json,
 )
 from .temporal import Interval, TemporalGraph, TemporalTemplate, expand
@@ -75,10 +77,10 @@ def _objects(rows: object, what: str) -> Iterator[dict]:
 def _integer(row: dict, key: str, what: str) -> int:
     if key not in row:
         raise ValueError(f"{what} {row!r} has no {key!r}")
-    try:
-        return int(row[key])
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"{what} {row!r}: {key!r} must be an integer") from exc
+    number = as_integer(row[key])
+    if number is None:
+        raise ValueError(f"{what} {row!r}: {key!r} must be an integer")
+    return number
 
 
 def graph_from_dict(data: dict) -> DiagnosticGraph:
@@ -122,34 +124,57 @@ def syndrome_to_dict(syndrome: Syndrome) -> dict:
 
 
 def syndrome_from_dict(data: dict, graph: DiagnosticGraph | None = None) -> Syndrome:
+    """Read a syndrome document in one pass over its rows.
+
+    Each row must be an object with integer ``tester`` and ``testee`` ids,
+    name its edge once and hold a ``value``; the first row that does not
+    raises.  A value other than 0 or 1, and then (with ``graph``) rows for
+    edges the graph lacks or edges without a row, are reported once the
+    pass is done, with the messages of :class:`Syndrome` and
+    :meth:`Syndrome.require_total`.  With ``graph``, the rows go straight
+    into per-tester failed masks.
+    """
     rows = data.get("outcomes") if isinstance(data, dict) else None
     if not isinstance(rows, (list, tuple)):
         raise ValueError("syndrome document must have an 'outcomes' list")
-    # One pass, left to Syndrome to normalise; a repeated edge shrinks the
-    # dict, and any bad row sends the rows through the ordered scan, which
-    # raises at the first of them.
-    try:
-        syndrome = Syndrome(
-            {(entry["tester"], entry["testee"]): entry["value"] for entry in rows}
-        )
-    except (KeyError, TypeError, ValueError, OverflowError, SyndromeError):
-        syndrome = None
-    if syndrome is None or len(syndrome.outcomes) != len(rows):
-        syndrome = Syndrome(_outcomes_in_order(rows))
-    if graph is not None:
-        syndrome.require_total(graph)
-    return syndrome
-
-
-def _outcomes_in_order(rows: object) -> dict[tuple[int, int], int]:
-    """Read outcome rows one at a time, raising at the first bad or repeated one."""
-    outcomes: dict[tuple[int, int], int] = {}
+    pos = graph.positions if graph is not None else {}
+    out = graph.out_masks if graph is not None else ()
+    failed = [0] * len(out)
+    read: dict[tuple[int, int], int | None] = {}  # rows of graph's edges, by position
+    others: dict[tuple[int, int], int | None] = {}  # rows naming no edge of graph
+    bad = None  # the first row whose value is not 0 or 1
     for entry in _objects(rows, "outcome"):
-        pair = (_integer(entry, "tester", "outcome"), _integer(entry, "testee", "outcome"))
-        if pair in outcomes:
-            raise SyndromeError(f"duplicate outcome for edge {pair}")
-        outcomes[pair] = _integer(entry, "value", "outcome")
-    return outcomes
+        tester, testee = entry.get("tester"), entry.get("testee")
+        if type(tester) is not int or type(testee) is not int:
+            tester = _integer(entry, "tester", "outcome")
+            testee = _integer(entry, "testee", "outcome")
+        u, v = pos.get(tester), pos.get(testee)
+        edge = u is not None and v is not None and out[u] >> v & 1
+        key, kept = ((u, v), read) if edge else ((tester, testee), others)
+        if key in kept:
+            raise SyndromeError(f"duplicate outcome for edge {(tester, testee)}")
+        if "value" not in entry:
+            raise ValueError(f"outcome {entry!r} has no 'value'")
+        value = as_integer(entry["value"])
+        if value not in (0, 1) and bad is None:
+            bad = (tester, testee, entry["value"])
+        kept[key] = value
+        if edge and value == 1:
+            failed[u] |= 1 << v
+    if bad is not None:
+        tester, testee, value = bad
+        raise SyndromeError(
+            f"outcome for edge ({tester}, {testee}) must be 0 or 1, got {value!r}"
+        )
+    if graph is None:
+        return Syndrome(others)
+    if others or len(read) != sum(row.bit_count() for row in out):
+        ids = graph.node_ids
+        missing = [
+            (ids[u], ids[v]) for u, v in graph.position_pairs() if (u, v) not in read
+        ]
+        raise coverage_error(missing, sorted(others))
+    return Syndrome._from_masks(graph, failed, list(read))
 
 
 def temporal_to_dict(graph: TemporalGraph) -> dict:
@@ -192,17 +217,10 @@ def temporal_from_dict(data: dict) -> TemporalGraph:
     if not isinstance(tmpl, dict):
         raise ValueError(f"'template' must be an object, got {tmpl!r}")
     offsets = tmpl.get("offsets", [1])
-    message = f"'offsets' must be a list of integers, got {offsets!r}"
     if not isinstance(offsets, (list, tuple)):
-        raise ValueError(message)
-    try:
-        integral = all(not isinstance(o, bool) and int(o) == o for o in offsets)
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ValueError(message)
+        raise ValueError(f"'offsets' must be a list of integers, got {offsets!r}")
     template = TemporalTemplate(
-        offsets=frozenset(offsets),
+        offsets=offsets,
         bidirectional=bool(tmpl.get("bidirectional", False)),
         base_identity_only=bool(tmpl.get("identity_only", True)),
     )

@@ -9,8 +9,9 @@ next occurrence.
 
 A temporal graph stores one edge list, its flat graph: vertex (pane, base
 id) gets the dense id ``pane_index * width + base_position``, and one
-builder emits the pane copies and the cross-time edges under that
-numbering.  The views by (pane, base id) are derived from it.
+builder writes the pane copies and the cross-time edges under that
+numbering as bitmask rows.  The views by (pane, base id) are derived from
+it.
 
 Restriction crops a temporal graph to a subinterval.  The panes anchored
 inside it form a contiguous run, and the subgraph they induce is exactly
@@ -38,12 +39,13 @@ from .diagnosability import (
 from .errors import GraphError, SizeCapError
 from .graph import (
     DiagnosticGraph,
-    Edge,
     EdgeKind,
     Node,
     NodeId,
     Syndrome,
     as_fraction,
+    as_integer,
+    failed_masks,
     fraction_to_json,
 )
 from .identification import NodeStatus, _candidate_masks, _group_statuses
@@ -77,6 +79,9 @@ class TemporalTemplate:
     ``bidirectional`` both directions are added; ``base_identity_only``
     restricts cross-time edges to copies of the same base node (when False,
     every ordered pair of base nodes is connected across qualifying panes).
+    Offsets may come in any iterable and follow the integrality rule of
+    :func:`~diagkit.graph.as_integer`: ``2.0`` reads as 2, while ``1.5``
+    and ``True`` are rejected.
     """
 
     offsets: frozenset[int] = frozenset({1})
@@ -84,7 +89,9 @@ class TemporalTemplate:
     base_identity_only: bool = True
 
     def __post_init__(self) -> None:
-        offsets = frozenset(int(o) for o in self.offsets)
+        offsets = frozenset(map(as_integer, self.offsets))
+        if None in offsets:
+            raise ValueError(f"offsets must be integers, got {self.offsets!r}")
         if not offsets:
             raise ValueError("template needs at least one offset")
         if any(o < 1 for o in offsets):
@@ -125,35 +132,49 @@ class TemporalGraph:
         Vertex (pane, nid) gets id ``pane_index * width + base_position``
         and label ``<pane>:<nid>``.  Each pane copies the base edges with
         their kinds; each template offset adds ``TEMPORAL`` edges to the
-        pane that far ahead, and back from it when bidirectional.
+        pane that far ahead, and back from it when bidirectional.  The
+        graph is written as masks: a vertex's row is its base row shifted
+        to its pane, plus its temporal testees in the panes an offset away.
+        Its ``nodes`` and ``edges`` are built on first read.
         """
-        base, template = self.base, self.template
-        width, count = base.n, len(self.panes)
-        nodes = [
-            Node(index * width + p, f"{pane}:{node.id}", node.frequency_hz)
-            for index, pane in enumerate(self.panes)
-            for p, node in enumerate(base.nodes)
-        ]
-        pos = base.positions
-        local = [(pos[edge.tester], pos[edge.testee], edge.kind) for edge in base.edges]
-        if template.base_identity_only:
-            pairs = [(p, p) for p in range(width)]
-        else:
-            pairs = [(i, j) for i in range(width) for j in range(width)]
-        temporal = EdgeKind.TEMPORAL
-        edges: list[Edge] = []
+        base, template, panes = self.base, self.template, self.panes
+        width, count = base.n, len(panes)
+        full = (1 << width) - 1
+        rows: list[int] = []
         for index in range(count):
             start = index * width
-            edges.extend(Edge(start + i, start + j, kind) for i, j, kind in local)
-            for offset in sorted(template.offsets):
-                if index + offset >= count:
-                    break
-                far = start + offset * width
-                for i, j in pairs:
-                    edges.append(Edge(start + i, far + j, temporal))
-                    if template.bidirectional:
-                        edges.append(Edge(far + j, start + i, temporal))
-        return DiagnosticGraph.build(nodes, edges)
+            # One bit at the start of every pane the template reaches.
+            column = 0
+            for offset in template.offsets:
+                if index + offset < count:
+                    column |= 1 << (start + offset * width)
+                if template.bidirectional and index >= offset:
+                    column |= 1 << (start - offset * width)
+            if template.base_identity_only:
+                rows.extend(
+                    row << start | column << p for p, row in enumerate(base.out_masks)
+                )
+            else:
+                spread = column * full  # every position of those panes
+                rows.extend(row << start | spread for row in base.out_masks)
+
+        base_ids, base_nodes = base.node_ids, base.nodes
+        base_pos = base.positions
+        base_kinds = {
+            (base_pos[edge.tester], base_pos[edge.testee]): edge.kind
+            for edge in base.edges
+        }
+
+        def node(flat_id: int) -> Node:
+            index, p = divmod(flat_id, width)
+            label = f"{panes[index]}:{base_ids[p]}"
+            return Node(flat_id, label, base_nodes[p].frequency_hz)
+
+        def kind(tester: int, testee: int) -> EdgeKind:
+            (pane, i), (other, j) = divmod(tester, width), divmod(testee, width)
+            return base_kinds[(i, j)] if pane == other else EdgeKind.TEMPORAL
+
+        return DiagnosticGraph._from_masks(range(count * width), rows, node, kind)
 
     @cached_property
     def vertices(self) -> tuple[TemporalVertex, ...]:
@@ -165,7 +186,8 @@ class TemporalGraph:
         """The flat edges by vertex, in flat order; endpoints are shared tuples."""
         vertex = self.vertices
         return tuple(
-            (vertex[edge.tester], vertex[edge.testee]) for edge in self.flat_graph.edges
+            (vertex[tester], vertex[testee])
+            for tester, testee in self.flat_graph.position_pairs()
         )
 
     def flat_id(self, vertex: TemporalVertex) -> int:
@@ -398,7 +420,7 @@ def audit(
             f"window {windows[-1]} is not contained in the graph interval "
             f"{graph.interval}"
         )
-    outcomes = syndrome.outcomes
+    failed = failed_masks(graph.flat_graph, syndrome)
     width = graph.base.n
     results: list[WindowAudit] = []
     for window in windows:
@@ -415,13 +437,12 @@ def audit(
                 f"audit window {window} expands to {flat.n} vertices, beyond the "
                 f"exact cap of {exact_cap}"
             )
-        # The window's flat ids are the graph's, shifted by its first pane.
+        # The window's flat ids are the graph's, shifted by its first pane,
+        # and its edges are the graph's edges between its vertices.
         shift = (sub.panes[0] - graph.panes[0]) * width
-        window_syndrome = Syndrome(
-            {
-                (e.tester, e.testee): outcomes[(e.tester + shift, e.testee + shift)]
-                for e in flat.edges
-            }
+        inside = (1 << flat.n) - 1
+        window_syndrome = Syndrome._from_masks(
+            flat, [row >> shift & inside for row in failed[shift : shift + flat.n]]
         )
         t_used = max_diagnosability(flat, exact_cap=exact_cap).t_max
         masks = _candidate_masks(flat, window_syndrome, t_used)

@@ -61,6 +61,17 @@ class TestAnalyze:
         assert code == 0
         assert "bounds" in doc
 
+    def test_env_var_that_is_not_an_integer_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIAGKIT_EXACT_CAP", "abc")
+        code, out, err = run(capsys, "scenarios")
+        assert (code, out) == (2, "")
+        assert err == "error: DIAGKIT_EXACT_CAP must be an integer, got 'abc'\n"
+        code, out, _ = run(capsys, "analyze", "five_cycle", "--exact-cap", "5", "--json")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "DIAGKIT_EXACT_CAP must be an integer, got 'abc'"
+        }
+
 
 class TestIdentify:
     def test_unique(self, capsys, tmp_path):
@@ -412,3 +423,62 @@ class TestMalformedDocuments:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "graph, syndrome, message",
+        [
+            (
+                {"nodes": [{"id": 1.5}], "edges": []},
+                None,
+                "error: node {'id': 1.5}: 'id' must be an integer\n",
+            ),
+            (
+                {
+                    "nodes": [{"id": 1}, {"id": 2}],
+                    "edges": [{"tester": 1.9, "testee": 2}],
+                },
+                None,
+                "error: edge {'tester': 1.9, 'testee': 2}: 'tester' must be an integer\n",
+            ),
+            (
+                "five_cycle",
+                {(1, 2): 0.7},
+                "error: outcome for edge (1, 2) must be 0 or 1, got 0.7\n",
+            ),
+            (
+                "five_cycle",
+                {(5, 1): True},
+                "error: outcome for edge (5, 1) must be 0 or 1, got True\n",
+            ),
+        ],
+    )
+    def test_numbers_that_are_not_integers(
+        self, capsys, tmp_path, graph, syndrome, message
+    ):
+        if isinstance(graph, dict):
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps(graph))
+            graph = str(path)
+        if syndrome is None:
+            code, _, err = run(capsys, "analyze", graph)
+        else:
+            values = {pair: 0 for pair in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]}
+            values.update(syndrome)
+            rows = [
+                {"tester": a, "testee": b, "value": v} for (a, b), v in values.items()
+            ]
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps({"outcomes": rows}))
+            code, _, err = run(capsys, "identify", graph, str(path), "--t", "1")
+        assert (code, err) == (2, message)
+
+    def test_integral_floats_read_as_integers(self, capsys, tmp_path):
+        document = {
+            "nodes": [{"id": 1.0}, {"id": 2}],
+            "edges": [{"tester": 1, "testee": 2.0}],
+        }
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(document))
+        code, out, _ = run(capsys, "export-dot", str(path))
+        assert code == 0
+        assert '"1" -> "2";' in out

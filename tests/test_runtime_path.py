@@ -108,15 +108,29 @@ def literal_violations(graph):
     return tuple(found)
 
 
+def literal_integer(value):
+    """The integrality rule: a non-bool number equal to an integer, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if number == value else None
+
+
 def literal_normalized(outcomes):
     normalized = {}
     for (tester, testee), value in dict(outcomes).items():
-        value = int(value)
-        if value not in (0, 1):
+        if literal_integer(value) not in (0, 1):
             raise SyndromeError(
-                f"outcome for edge ({tester}, {testee}) must be 0 or 1, got {value}"
+                f"outcome for edge ({tester}, {testee}) must be 0 or 1, got {value!r}"
             )
-        normalized[(int(tester), int(testee))] = value
+        if literal_integer(tester) is None or literal_integer(testee) is None:
+            raise SyndromeError(
+                f"outcome for edge ({tester!r}, {testee!r}) must name integer node ids"
+            )
+        normalized[(int(tester), int(testee))] = int(value)
     return normalized
 
 
@@ -136,15 +150,22 @@ def literal_require_total(outcomes, graph):
         )
 
 
+def literal_id(entry, key):
+    number = literal_integer(entry[key])
+    if number is None:
+        raise ValueError(f"outcome {entry!r}: {key!r} must be an integer")
+    return number
+
+
 def literal_syndrome_from_dict(data, graph=None):
     if not isinstance(data, dict) or "outcomes" not in data:
         raise ValueError("syndrome document must have an 'outcomes' list")
     outcomes = {}
     for entry in data["outcomes"]:
-        pair = (int(entry["tester"]), int(entry["testee"]))
+        pair = (literal_id(entry, "tester"), literal_id(entry, "testee"))
         if pair in outcomes:
             raise SyndromeError(f"duplicate outcome for edge {pair}")
-        outcomes[pair] = int(entry["value"])
+        outcomes[pair] = entry["value"]
     normalized = literal_normalized(outcomes)
     if graph is not None:
         literal_require_total(normalized, graph)

@@ -58,6 +58,16 @@ class TestTemplate:
         with pytest.raises(ValueError):
             TemporalTemplate(offsets=frozenset({0, 1}))
 
+    @pytest.mark.parametrize("offsets", [{1.5, True}, {1.5}, {True}, {"2"}, {None}])
+    def test_rejects_offsets_that_are_not_integers(self, offsets):
+        with pytest.raises(ValueError, match="offsets must be integers"):
+            TemporalTemplate(offsets=frozenset(offsets))
+
+    def test_integral_offsets_read_as_integers(self):
+        template = TemporalTemplate(offsets=[2.0, 1])
+        assert template.offsets == frozenset({1, 2})
+        assert all(type(offset) is int for offset in template.offsets)
+
 
 class TestExpand:
     def test_single_sample_is_isomorphic_to_base(self, pane_100hz):
