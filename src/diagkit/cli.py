@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import diagnosability as dx
@@ -199,16 +200,17 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(rendered)
     flat = expansion.flat_graph
+    edge_count = sum(row.bit_count() for row in flat.out_masks)
     human = (
         f"expanded to {len(expansion.panes)} panes, {flat.n} vertices, "
-        f"{len(flat.edges)} edges"
+        f"{edge_count} edges"
     )
     if args.out:
         human += f"; written to {args.out}"
     summary = {
         "panes": list(expansion.panes),
         "vertices": flat.n,
-        "edges": len(flat.edges),
+        "edges": edge_count,
         "temporal": document["temporal"],
     }
     _emit(args, summary, human if args.out else human + "\n" + rendered.rstrip("\n"))
@@ -417,9 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # Read here, not as a parser default, so a bad value is an input error.
         exact_cap = _default_exact_cap()

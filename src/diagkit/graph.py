@@ -6,6 +6,11 @@ module j.  A syndrome assigns the observed pass/fail outcome (0 = pass,
 1 = fail) to every edge.  Checks run by fault-free modules are truthful;
 checks run by faulty modules carry no information at all.
 
+Every analysis reads a graph's ``node_ids`` and ``out_masks`` and a
+syndrome's per-tester masks of failed testees, which :func:`failed_masks`
+binds to a graph in one step.  The ``Node``, ``Edge`` and outcome objects
+of a graph or syndrome built from masks are made only for output.
+
 All types here are immutable after construction and every operation is a
 pure function, so everything is safe to share across threads.
 """
@@ -68,7 +73,10 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
             raise ValueError(f"cannot interpret {value!r} as a rational")
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"cannot interpret {value!r} as a rational") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -279,11 +287,6 @@ class DiagnosticGraph(_Frozen):
         return tuple(node.id for node in self.nodes)
 
     @cached_property
-    def edge_pairs(self) -> frozenset[tuple[NodeId, NodeId]]:
-        """The (tester, testee) pair of every edge."""
-        return frozenset(map(_BY_PAIR, self.edges))
-
-    @cached_property
     def node_by_id(self) -> Mapping[NodeId, Node]:
         return MappingProxyType({node.id: node for node in self.nodes})
 
@@ -335,13 +338,17 @@ class DiagnosticGraph(_Frozen):
                 out ^= low
 
     def mask_of(self, members: Iterable[NodeId]) -> int:
+        """Bitmask of the ids in ``members``, read by :func:`as_integer`."""
         pos = self.positions
         mask = 0
         unknown = []
         for member in members:
-            p = pos.get(member)
+            nid = as_integer(member)
+            if nid is None:
+                raise ValueError(f"node ids must be integers, got {member!r}")
+            p = pos.get(nid)
             if p is None:
-                unknown.append(member)
+                unknown.append(nid)
             else:
                 mask |= 1 << p
         if unknown:
@@ -362,20 +369,6 @@ class DiagnosticGraph(_Frozen):
         return tuple(out)
 
 
-def coverage_error(
-    missing: Sequence[tuple[NodeId, NodeId]], unknown: Sequence[tuple[NodeId, NodeId]]
-) -> SyndromeError:
-    """The error for outcomes that miss edges or name edges the graph lacks."""
-    parts = []
-    if missing:
-        parts.append(f"missing outcomes for edges {list(missing)}")
-    if unknown:
-        parts.append(f"outcomes for unknown edges {list(unknown)}")
-    return SyndromeError(
-        "syndrome must cover every edge exactly once: " + "; ".join(parts)
-    )
-
-
 class Syndrome(_Frozen):
     """The complete vector of test outcomes, keyed by (tester, testee).
 
@@ -386,7 +379,8 @@ class Syndrome(_Frozen):
     Ids and outcomes follow one integrality rule (:func:`as_integer`):
     ``1.0`` reads as 1, while ``0.7``, ``True`` and ``"1"`` are rejected.
     A syndrome can also be held as per-tester failed masks against one
-    graph (:meth:`_from_masks`); ``outcomes`` is then built on first read.
+    graph (:meth:`_from_masks`); ``outcomes`` is then built on first read,
+    for output only: the analyses read a syndrome through :func:`failed_masks`.
     """
 
     # Set on mask-held syndromes only: the graph, per tester position the
@@ -455,7 +449,7 @@ class Syndrome(_Frozen):
     @classmethod
     def all_clear(cls, graph: DiagnosticGraph) -> "Syndrome":
         """The all-pass syndrome over ``graph``."""
-        return cls({edge.pair: 0 for edge in graph.edges})
+        return cls._from_masks(graph, [0] * graph.n)
 
     def value(self, tester: NodeId, testee: NodeId) -> int:
         try:
@@ -467,13 +461,7 @@ class Syndrome(_Frozen):
 
     def require_total(self, graph: DiagnosticGraph) -> None:
         """Raise unless this syndrome covers every edge of ``graph`` exactly."""
-        if graph is self._graph:
-            return
-        expected = graph.edge_pairs
-        if self.outcomes.keys() == expected:
-            return
-        got = set(self.outcomes)
-        raise coverage_error(sorted(expected - got), sorted(got - expected))
+        failed_masks(graph, self)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +477,7 @@ def validate(graph: DiagnosticGraph) -> list[str]:
 def min_in_degree(graph: DiagnosticGraph) -> tuple[int, frozenset[NodeId]]:
     """Minimum in-degree and the set of nodes attaining it."""
     graph.require_valid()
-    if not graph.nodes:
+    if not graph.n:
         raise GraphError("empty graph")
     degrees = graph.in_degrees
     minimum = min(degrees)
@@ -551,24 +539,25 @@ def is_consistent_fault_set(
     every failing check has an endpoint in F, and every check between two
     modules outside F passed.
     """
-    graph.require_valid()
-    syndrome.require_total(graph)
-    members = frozenset(fault_set)
-    graph.mask_of(members)  # reject unknown ids
-    if len(members) > t:
+    failed = failed_masks(graph, syndrome)
+    fault_mask = graph.mask_of(fault_set)
+    size = fault_mask.bit_count()
+    if size > t:
         return ConsistencyReport(
-            False, "cond_i", None, f"|F| = {len(members)} exceeds budget t = {t}"
+            False, "cond_i", None, f"|F| = {size} exceeds budget t = {t}"
         )
-    for edge in graph.edges:
-        if syndrome.value(*edge.pair) == 1:
-            if edge.tester not in members and edge.testee not in members:
-                return ConsistencyReport(
-                    False,
-                    "cond_ii",
-                    edge.pair,
-                    f"edge ({edge.tester}, {edge.testee}) failed but neither "
-                    "endpoint is in the fault set",
-                )
+    # The first failing edge, in edge order, with both endpoints outside F.
+    for tester, flagged in enumerate(failed):
+        outside = 0 if fault_mask >> tester & 1 else flagged & ~fault_mask
+        if outside:
+            ids = graph.node_ids
+            u, v = ids[tester], ids[(outside & -outside).bit_length() - 1]
+            return ConsistencyReport(
+                False,
+                "cond_ii",
+                (u, v),
+                f"edge ({u}, {v}) failed but neither endpoint is in the fault set",
+            )
     return ConsistencyReport(True)
 
 
@@ -582,22 +571,41 @@ def pmc_compatible(
     than :func:`is_consistent_fault_set` and is the semantics all
     diagnosability and identification routines in this package rely on.
     """
-    graph.require_valid()
-    syndrome.require_total(graph)
     return pmc_fits(
         graph.out_masks, failed_masks(graph, syndrome), graph.mask_of(fault_set)
     )
 
 
 def failed_masks(graph: DiagnosticGraph, syndrome: Syndrome) -> tuple[int, ...]:
-    """Per position, bitmask of the testees it failed; needs a total syndrome."""
+    """Per position of ``graph``, bitmask of the testees it failed.
+
+    The one binder of a syndrome to a graph, which must be valid.  A
+    syndrome held as masks over this graph costs nothing; any other is read
+    once and must cover every edge exactly, or a :class:`SyndromeError`
+    names the missing and unknown.
+    """
+    graph.require_valid()
     if syndrome._graph is graph:
         return syndrome._failed
+    pos, out = graph.positions, graph.out_masks
     masks = [0] * graph.n
-    pos = graph.positions
+    unknown = []
     for (tester, testee), value in syndrome.outcomes.items():
-        if value:
-            masks[pos[tester]] |= 1 << pos[testee]
+        u, v = pos.get(tester), pos.get(testee)
+        if u is None or v is None or not out[u] >> v & 1:
+            unknown.append((tester, testee))
+        elif value:
+            masks[u] |= 1 << v
+    if unknown or len(syndrome.outcomes) != sum(row.bit_count() for row in out):
+        ids = graph.node_ids
+        pairs = ((ids[u], ids[v]) for u, v in graph.position_pairs())
+        missing = [pair for pair in pairs if pair not in syndrome.outcomes]
+        parts = [f"missing outcomes for edges {missing}"] if missing else []
+        if unknown:
+            parts.append(f"outcomes for unknown edges {sorted(unknown)}")
+        raise SyndromeError(
+            "syndrome must cover every edge exactly once: " + "; ".join(parts)
+        )
     return tuple(masks)
 
 

@@ -85,19 +85,18 @@ class StatusReport:
         return {str(nid): status.value for nid, status in sorted(self.statuses.items())}
 
 
-def _require_inputs(graph: DiagnosticGraph, syndrome: Syndrome, t: object) -> None:
-    """A valid graph, a syndrome covering it and a non-negative integer t."""
-    graph.require_valid()
-    syndrome.require_total(graph)
+def _require_inputs(graph: DiagnosticGraph, syndrome: Syndrome, t: object) -> tuple:
+    """The failed masks of a syndrome over a valid graph; t must be an integer >= 0."""
+    failed = failed_masks(graph, syndrome)
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise ValueError(f"t must be a non-negative integer, got {t!r}")
+    return failed
 
 
 def _candidate_masks(graph: DiagnosticGraph, syndrome: Syndrome, t: int) -> list[int]:
     """All fault sets of size <= t compatible with the syndrome, as bitmasks."""
-    _require_inputs(graph, syndrome, t)
+    failed = _require_inputs(graph, syndrome, t)
     full = (1 << graph.n) - 1
-    failed = failed_masks(graph, syndrome)
     passed = [out & ~flagged for out, flagged in zip(graph.out_masks, failed)]
 
     def propagate(in_mask: int, out_mask: int, pending: int) -> tuple[int, int] | None:
@@ -202,13 +201,13 @@ def all_consistent_fault_sets(
     lexicographically.  Exhaustive over all subsets, hence the node cap.
     Each subset is tested by the ``pmc_compatible`` predicate on bitmasks.
     """
-    _require_inputs(graph, syndrome, t)
+    failed = _require_inputs(graph, syndrome, t)
     if graph.n > cap:
         raise SizeCapError(
             f"exhaustive enumeration restricted to small graphs (n <= {cap}, "
             f"got {graph.n})"
         )
-    out_masks, failed = graph.out_masks, failed_masks(graph, syndrome)
+    out_masks = graph.out_masks
     # Positions ascend with ids, so combinations of the bits come by size,
     # then lexicographically.
     bits = [1 << pos for pos in range(graph.n)]

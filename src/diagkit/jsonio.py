@@ -38,7 +38,7 @@ from .graph import (
     Syndrome,
     as_fraction,
     as_integer,
-    coverage_error,
+    failed_masks,
     fraction_to_json,
 )
 from .temporal import Interval, TemporalGraph, TemporalTemplate, expand
@@ -92,7 +92,7 @@ def graph_from_dict(data: dict) -> DiagnosticGraph:
         node_id = _integer(entry, "id", "node")
         try:
             frequency = fraction_from_json(hz) if hz is not None else None
-        except (TypeError, ZeroDivisionError) as exc:
+        except TypeError as exc:
             raise ValueError(f"node {entry!r}: 'hz' must be a rational") from exc
         nodes.append(
             Node(id=node_id, label=str(entry.get("label", "")), frequency_hz=frequency)
@@ -131,8 +131,8 @@ def syndrome_from_dict(data: dict, graph: DiagnosticGraph | None = None) -> Synd
     raises.  A value other than 0 or 1, and then (with ``graph``) rows for
     edges the graph lacks or edges without a row, are reported once the
     pass is done, with the messages of :class:`Syndrome` and
-    :meth:`Syndrome.require_total`.  With ``graph``, the rows go straight
-    into per-tester failed masks.
+    :func:`~diagkit.graph.failed_masks`.  With ``graph``, the rows go
+    straight into per-tester failed masks.
     """
     rows = data.get("outcomes") if isinstance(data, dict) else None
     if not isinstance(rows, (list, tuple)):
@@ -170,10 +170,8 @@ def syndrome_from_dict(data: dict, graph: DiagnosticGraph | None = None) -> Synd
         return Syndrome(others)
     if others or len(read) != sum(row.bit_count() for row in out):
         ids = graph.node_ids
-        missing = [
-            (ids[u], ids[v]) for u, v in graph.position_pairs() if (u, v) not in read
-        ]
-        raise coverage_error(missing, sorted(others))
+        rows = {(ids[u], ids[v]): value for (u, v), value in read.items()}
+        failed_masks(graph, Syndrome({**rows, **others}))  # raises the coverage error
     return Syndrome._from_masks(graph, failed, list(read))
 
 
@@ -198,7 +196,7 @@ def temporal_to_dict(graph: TemporalGraph) -> dict:
 def _rational(value: object, what: str) -> Fraction:
     try:
         return fraction_from_json(value)
-    except (TypeError, ZeroDivisionError) as exc:
+    except TypeError as exc:
         raise ValueError(f"{what} must be a rational, got {value!r}") from exc
 
 
@@ -219,10 +217,13 @@ def temporal_from_dict(data: dict) -> TemporalGraph:
     offsets = tmpl.get("offsets", [1])
     if not isinstance(offsets, (list, tuple)):
         raise ValueError(f"'offsets' must be a list of integers, got {offsets!r}")
+    for key in ("bidirectional", "identity_only"):
+        if not isinstance(tmpl.get(key, True), bool):
+            raise ValueError(f"{key!r} must be true or false, got {tmpl[key]!r}")
     template = TemporalTemplate(
         offsets=offsets,
-        bidirectional=bool(tmpl.get("bidirectional", False)),
-        base_identity_only=bool(tmpl.get("identity_only", True)),
+        bidirectional=tmpl.get("bidirectional", False),
+        base_identity_only=tmpl.get("identity_only", True),
     )
     return expand(base, _rational(recipe["hz"], "'hz'"), interval, template)
 
@@ -232,9 +233,17 @@ def dump_json(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+def _read_json(path: str | Path) -> object:
+    """The JSON document in a file; nesting too deep to parse is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
 def load_graph_file(path: str | Path) -> DiagnosticGraph | TemporalGraph:
     """Load either a plain graph file or a temporal graph file."""
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     if isinstance(data, dict) and "temporal" in data:
         return temporal_from_dict(data)
     return graph_from_dict(data)
@@ -243,4 +252,4 @@ def load_graph_file(path: str | Path) -> DiagnosticGraph | TemporalGraph:
 def load_syndrome_file(
     path: str | Path, graph: DiagnosticGraph | None = None
 ) -> Syndrome:
-    return syndrome_from_dict(json.loads(Path(path).read_text()), graph)
+    return syndrome_from_dict(_read_json(path), graph)

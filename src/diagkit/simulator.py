@@ -3,7 +3,9 @@
 Fault-free testers always report the truth; what faulty testers report is
 policy.  Randomized policies draw from a counter-based generator keyed by
 (seed, tester, testee), so outcomes are reproducible under any evaluation
-order or parallel schedule.
+order or parallel schedule.  Syndromes are generated on the graph's
+``out_masks`` and held as failed masks over it, building no ``Edge``; the
+adversarial policy counts candidates with the identification search.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .identification import (
     DEFAULT_ENUMERATION_CAP,
     NodeStatus,
     VerdictKind,
-    all_consistent_fault_sets,
+    _candidate_masks,
     node_status,
 )
 from .jsonio import graph_from_dict
@@ -124,53 +126,59 @@ def generate_syndrome(
     report per the policy; the adversarial policy searches over all of its
     free outcomes for the assignment admitting the most candidate fault
     sets, breaking ties toward the lexicographically smallest assignment.
+    Fault ids follow the integrality rule of ``DiagnosticGraph.mask_of``.
+    The syndrome is held as failed masks over ``graph``.
     """
     graph.require_valid()
-    members = frozenset(int(f) for f in faults)
-    graph.mask_of(members)  # reject unknown ids
+    fault_mask = graph.mask_of(faults)
     if policy.kind is PolicyKind.ADVERSARIAL:
-        return _adversarial_syndrome(graph, members, policy)
-    outcomes = {}
-    for edge in graph.edges:
-        if edge.tester not in members:
-            value = int(edge.testee in members)
+        return _adversarial_syndrome(graph, fault_mask, policy)
+    ids = graph.node_ids
+    failed = []
+    for tester, row in enumerate(graph.out_masks):
+        if not fault_mask >> tester & 1:
+            row &= fault_mask
         elif policy.kind is PolicyKind.ALWAYS_PASS:
-            value = 0
-        elif policy.kind is PolicyKind.ALWAYS_FAIL:
-            value = 1
-        else:
-            value = int(_unit(seed, edge.tester, edge.testee) < policy.p)
-        outcomes[edge.pair] = value
-    return Syndrome(outcomes)
+            row = 0
+        elif policy.kind is PolicyKind.BERNOULLI:
+            u = ids[tester]
+            row = graph.mask_of(
+                v for v in graph.id_tuple(row) if _unit(seed, u, v) < policy.p
+            )
+        failed.append(row)  # under ALWAYS_FAIL, a faulty tester fails its whole row
+    return Syndrome._from_masks(graph, failed)
 
 
 def _adversarial_syndrome(
-    graph: DiagnosticGraph, members: frozenset[NodeId], policy: FaultPolicy
+    graph: DiagnosticGraph, fault_mask: int, policy: FaultPolicy
 ) -> Syndrome:
     if graph.n > DEFAULT_ENUMERATION_CAP:
         raise SizeCapError(
             f"adversarial policy restricted to small graphs "
             f"(n <= {DEFAULT_ENUMERATION_CAP}, got {graph.n})"
         )
-    free = [edge.pair for edge in graph.edges if edge.tester in members]
+    pairs = list(graph.position_pairs())
+    free = [(u, v) for u, v in pairs if fault_mask >> u & 1]
     if len(free) > ADVERSARIAL_FREE_EDGE_CAP:
         raise SizeCapError(
             f"adversarial policy restricted to {ADVERSARIAL_FREE_EDGE_CAP} "
             f"free outcomes, got {len(free)}"
         )
-    budget = policy.budget if policy.budget is not None else len(members)
-    forced = {
-        edge.pair: int(edge.testee in members)
-        for edge in graph.edges
-        if edge.tester not in members
-    }
+    budget = policy.budget if policy.budget is not None else fault_mask.bit_count()
+    forced = [
+        0 if fault_mask >> u & 1 else row & fault_mask
+        for u, row in enumerate(graph.out_masks)
+    ]
+    # Outcomes list the forced edges first, then the free ones.
+    order = [(u, v) for u, v in pairs if not fault_mask >> u & 1] + free
     best: Syndrome | None = None
     best_count = -1
     for assignment in product((0, 1), repeat=len(free)):
-        outcomes = dict(forced)
-        outcomes.update(zip(free, assignment))
-        candidate = Syndrome(outcomes)
-        count = len(all_consistent_fault_sets(graph, candidate, budget))
+        failed = list(forced)
+        for (tester, testee), value in zip(free, assignment):
+            failed[tester] |= value << testee
+        candidate = Syndrome._from_masks(graph, failed, order)
+        count = len(_candidate_masks(graph, candidate, budget))
         if count > best_count:
             best, best_count = candidate, count
     assert best is not None

@@ -407,7 +407,7 @@ def audit(
     back to modules.  Per-vertex statuses (which allow intermittent
     patterns) are included when ``include_vertices`` is set.
     """
-    syndrome.require_total(graph.flat_graph)
+    failed = failed_masks(graph.flat_graph, syndrome)
     if not windows:
         raise ValueError("audit needs at least one window")
     for smaller, bigger in zip(windows, windows[1:]):
@@ -420,7 +420,6 @@ def audit(
             f"window {windows[-1]} is not contained in the graph interval "
             f"{graph.interval}"
         )
-    failed = failed_masks(graph.flat_graph, syndrome)
     width = graph.base.n
     results: list[WindowAudit] = []
     for window in windows:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from diagkit import cli
 from diagkit.cli import main
 from diagkit.jsonio import dump_json, graph_to_dict
 from diagkit.simulator import scenario
@@ -482,3 +483,122 @@ class TestMalformedDocuments:
         code, out, _ = run(capsys, "export-dot", str(path))
         assert code == 0
         assert '"1" -> "2";' in out
+
+
+class TestInputsThatEscapedTheHandler:
+    """Inputs that exit 2 with one error line, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "five_cycle", "--hz", "1/0", "--chain", "0:1"],
+            ["profile", "five_cycle", "--hz", "10", "--chain", "0:1/0"],
+            ["expand", "five_cycle", "--hz", "10", "--interval", "1/0", "2"],
+            ["expand", "five_cycle", "--hz", "0/0", "--interval", "0", "1"],
+        ],
+    )
+    def test_zero_denominators(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["node hz", "recipe hz", "interval"])
+    def test_zero_denominators_in_documents(self, capsys, tmp_path, where):
+        base = graph_to_dict(scenario("pane_100hz").graph)
+        recipe = {"interval": [0, 0.02], "hz": 100}
+        if where == "node hz":
+            base["nodes"][0]["hz"] = "1/0"
+        elif where == "recipe hz":
+            recipe["hz"] = "1/0"
+        else:
+            recipe["interval"] = [0, "2/0"]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"base": base, "temporal": recipe}))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("which", ["graph", "syndrome"])
+    def test_json_nested_too_deeply(self, capsys, tmp_path, which):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        if which == "graph":
+            code, out, err = run(capsys, "analyze", str(path))
+        else:
+            code, out, err = run(capsys, "identify", "five_cycle", str(path), "--t", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: JSON nested too deeply to read\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {"bidirectional": "no"},
+            {"bidirectional": 1},
+            {"bidirectional": None},
+            {"identity_only": 0},
+            {"identity_only": "true"},
+            {"identity_only": [True]},
+        ],
+    )
+    def test_recipe_booleans_are_strict(self, capsys, tmp_path, flags):
+        template = {"offsets": [1], **flags}
+        recipe = {"interval": [0, 0.02], "hz": 100, "template": template}
+        base = graph_to_dict(scenario("pane_100hz").graph)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"base": base, "temporal": recipe}))
+        code, _, err = run(capsys, "analyze", str(path))
+        key, value = next(iter(flags.items()))
+        assert code == 2
+        assert err == f"error: {key!r} must be true or false, got {value!r}\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--bidirectional"], ["--cross-module"]])
+    def test_expanded_files_still_load(self, capsys, tmp_path, extra):
+        path = tmp_path / "t.json"
+        argv = ["expand", "pane_100hz", "--hz", "100", "--interval", "0", "0.01"]
+        assert main([*argv, *extra, "--out", str(path)]) == 0
+        written = json.loads(path.read_text())["temporal"]["template"]
+        assert written["bidirectional"] is ("--bidirectional" in extra)
+        assert written["identity_only"] is ("--cross-module" not in extra)
+        capsys.readouterr()
+        code, doc, _ = run_json(capsys, "analyze", str(path))
+        assert code == 0 and "t_max" in doc
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call_like_a_fresh_one(self, capsys, tmp_path):
+        syndrome = tmp_path / "s.json"
+        simulate = ["simulate", "five_cycle", "--faults", "1", "--out", str(syndrome)]
+        assert main(simulate) == 0
+        calls = [
+            ["analyze", "five_cycle", "--json"],
+            ["identify", "five_cycle", str(syndrome), "--t", "1"],
+            ["no-such-command"],
+            ["analyze", "localization", "--t", "2", "--json"],
+            ["identify", "five_cycle", str(syndrome)],
+            ["expand", "five_cycle", "--hz", "1/0", "--interval", "0", "1"],
+            ["profile", "five_cycle", "--hz", "10", "--chain", "0:0.1,0:0"],
+            ["analyze", "five_cycle", "--t", "x"],
+            ["export-dot", "five_cycle", "--syndrome", str(syndrome)],
+            ["scenarios", "--json"],
+            ["analyze", "five_cycle", "--json"],
+        ]
+
+        def outputs(fresh):
+            seen = []
+            for argv in calls:
+                if fresh:
+                    cli._parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's own usage errors
+                    code = exc.code
+                seen.append((code, *capsys.readouterr()))
+            return seen
+
+        capsys.readouterr()
+        fresh = outputs(fresh=True)
+        cli._parser.cache_clear()
+        reused = outputs(fresh=False)
+        assert reused == fresh
+        assert cli._parser.cache_info().misses == 1
+        assert {code for code, _, _ in fresh} == {0, 1, 2}

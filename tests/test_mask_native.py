@@ -89,7 +89,7 @@ class TestFlatGraphFromMasks:
                 assert flat.edges == expected.edges
                 assert flat == expected and expected == flat
                 assert hash(flat) == hash(expected)
-                assert flat.edge_pairs == expected.edge_pairs
+                assert {e.pair for e in flat.edges} == {e.pair for e in expected.edges}
                 assert flat.tester_masks == expected.tester_masks
                 assert flat.in_degrees == expected.in_degrees
                 assert flat.violations == ()
