@@ -17,6 +17,7 @@ import random
 import sys
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 from . import diagnosability as dx
 from . import identification as ident
@@ -56,11 +57,15 @@ def _flatten(graph: DiagnosticGraph | TemporalGraph) -> DiagnosticGraph:
     return graph.flat_graph if isinstance(graph, TemporalGraph) else graph
 
 
-def _emit(args: argparse.Namespace, document: dict, human: str) -> None:
+def _emit(
+    args: argparse.Namespace, document: Callable[[], dict], human: Callable[[], str]
+) -> None:
+    """Print the JSON document under --json, else the human text; only the
+    form printed is built."""
     if getattr(args, "json", False):
-        print(json.dumps(document, indent=2, sort_keys=True))
+        print(json.dumps(document(), indent=2, sort_keys=True))
     else:
-        print(human)
+        print(human())
 
 
 def _parse_interval(text: str) -> Interval:
@@ -106,7 +111,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cap = args.exact_cap
     if args.t is not None:
         cert = dx.is_t_diagnosable(graph, args.t)
-        _emit(args, cert.to_json_dict(), _certificate_lines(cert))
+        _emit(args, cert.to_json_dict, lambda: _certificate_lines(cert))
         return 0 if cert.diagnosable else 1
     if graph.n <= cap:
         result = dx.max_diagnosability(graph, exact_cap=cap)
@@ -114,14 +119,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         human.append("  " + _certificate_lines(result.certificate))
         if result.refutation is not None:
             human.append("  " + _certificate_lines(result.refutation))
-        _emit(args, result.to_json_dict(), "\n".join(human))
+        _emit(args, result.to_json_dict, lambda: "\n".join(human))
         return 0
     bounds = dx.diagnosability_bounds(graph)
     document = {"bounds": {"lower": bounds.lower, "upper": bounds.upper}, "exact": False}
     _emit(
         args,
-        document,
-        f"{bounds.lower} <= t_max <= {bounds.upper} "
+        lambda: document,
+        lambda: f"{bounds.lower} <= t_max <= {bounds.upper} "
         f"(graph beyond exact cap of {cap} nodes)",
     )
     return 0
@@ -132,21 +137,27 @@ def cmd_identify(args: argparse.Namespace) -> int:
     syndrome = jsonio.load_syndrome_file(args.syndrome, graph)
     report = ident.node_status(graph, syndrome, args.t)
     verdict = report.verdict
-    document = {
-        "verdict": verdict.to_json_dict(),
-        "statuses": report.to_json_dict(),
-        "exceeds_majority_budget": verdict.exceeds_majority_budget,
-    }
-    lines = [f"verdict: {verdict.kind.value}"]
-    if verdict.kind is ident.VerdictKind.UNIQUE:
-        lines[0] += f" {sorted(verdict.fault_set)}"
-    elif verdict.kind is ident.VerdictKind.AMBIGUOUS:
-        lines.append(f"  {verdict.candidate_count} candidates:")
-        for candidate in verdict.candidates:
-            lines.append(f"    {sorted(candidate)}")
-    for nid, status in sorted(report.statuses.items()):
-        lines.append(f"  node {nid}: {status.value}")
-    _emit(args, document, "\n".join(lines))
+
+    def document() -> dict:
+        return {
+            "verdict": verdict.to_json_dict(),
+            "statuses": report.to_json_dict(),
+            "exceeds_majority_budget": verdict.exceeds_majority_budget,
+        }
+
+    def human() -> str:
+        lines = [f"verdict: {verdict.kind.value}"]
+        if verdict.kind is ident.VerdictKind.UNIQUE:
+            lines[0] += f" {sorted(verdict.fault_set)}"
+        elif verdict.kind is ident.VerdictKind.AMBIGUOUS:
+            lines.append(f"  {verdict.candidate_count} candidates:")
+            for candidate in verdict.candidates:
+                lines.append(f"    {sorted(candidate)}")
+        for nid, status in sorted(report.statuses.items()):
+            lines.append(f"  node {nid}: {status.value}")
+        return "\n".join(lines)
+
+    _emit(args, document, human)
     return 0 if verdict.kind is ident.VerdictKind.UNIQUE else 1
 
 
@@ -164,9 +175,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     policy = sim.parse_policy(args.policy)
     syndrome = sim.generate_syndrome(graph, faults, policy, seed=args.seed)
     document = jsonio.syndrome_to_dict(syndrome)
-    rendered = jsonio.dump_json(document)
     if args.out:
-        Path(args.out).write_text(rendered)
+        Path(args.out).write_text(jsonio.dump_json(document))
     status = 0
     identification = None
     if args.identify:
@@ -177,14 +187,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_doc = {"faults": sorted(faults), "syndrome": document}
     if identification is not None:
         out_doc["identification"] = identification
-    human = [f"injected faults: {sorted(faults)}"]
-    if not args.out:
-        human.append(rendered.rstrip("\n"))
-    else:
-        human.append(f"syndrome written to {args.out}")
-    if identification is not None:
-        human.append(f"identification: {json.dumps(identification)}")
-    _emit(args, out_doc, "\n".join(human))
+
+    def human() -> str:
+        lines = [f"injected faults: {sorted(faults)}"]
+        if not args.out:
+            lines.append(jsonio.dump_json(document).rstrip("\n"))
+        else:
+            lines.append(f"syndrome written to {args.out}")
+        if identification is not None:
+            lines.append(f"identification: {json.dumps(identification)}")
+        return "\n".join(lines)
+
+    _emit(args, lambda: out_doc, human)
     return status
 
 
@@ -213,7 +227,9 @@ def cmd_expand(args: argparse.Namespace) -> int:
         "edges": edge_count,
         "temporal": document["temporal"],
     }
-    _emit(args, summary, human if args.out else human + "\n" + rendered.rstrip("\n"))
+    if not args.out:
+        human += "\n" + rendered.rstrip("\n")
+    _emit(args, lambda: summary, lambda: human)
     return 0
 
 
@@ -234,7 +250,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             lines.append(
                 f"{str(entry.interval):<20}{entry.bounds.lower}..{entry.bounds.upper}"
             )
-    _emit(args, profile.to_json_dict(), "\n".join(lines))
+    _emit(args, profile.to_json_dict, lambda: "\n".join(lines))
     return 0
 
 
@@ -251,18 +267,22 @@ def cmd_audit(args: argparse.Namespace) -> int:
         include_vertices=args.vertex_level,
         exact_cap=args.exact_cap,
     )
-    lines = []
-    for window_audit in report.windows:
-        lines.append(
-            f"window {window_audit.window} (t = {window_audit.t_used})"
-            + (" [inconsistent]" if window_audit.inconsistent else "")
-        )
-        for nid, status in sorted(window_audit.base_statuses.items()):
-            lines.append(f"  node {nid}: {status.value}")
-        if window_audit.vertex_statuses is not None:
-            for (pane, nid), status in sorted(window_audit.vertex_statuses.items()):
-                lines.append(f"  vertex {pane}:{nid}: {status.value}")
-    _emit(args, report.to_json_dict(), "\n".join(lines))
+
+    def human() -> str:
+        lines = []
+        for window_audit in report.windows:
+            lines.append(
+                f"window {window_audit.window} (t = {window_audit.t_used})"
+                + (" [inconsistent]" if window_audit.inconsistent else "")
+            )
+            for nid, status in sorted(window_audit.base_statuses.items()):
+                lines.append(f"  node {nid}: {status.value}")
+            if window_audit.vertex_statuses is not None:
+                for (pane, nid), status in sorted(window_audit.vertex_statuses.items()):
+                    lines.append(f"  vertex {pane}:{nid}: {status.value}")
+        return "\n".join(lines)
+
+    _emit(args, report.to_json_dict, human)
     return 1 if any(w.inconsistent for w in report.windows) else 0
 
 
@@ -303,7 +323,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         f"{row['name']:<14} {row['nodes']:>3} nodes {row['edges']:>3} edges"
         for row in rows
     )
-    _emit(args, {"scenarios": rows}, human)
+    _emit(args, lambda: {"scenarios": rows}, lambda: human)
     return 0
 
 

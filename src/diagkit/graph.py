@@ -324,18 +324,8 @@ class DiagnosticGraph(_Frozen):
         return tuple(mask.bit_count() for mask in self.tester_masks)
 
     def position_pairs(self) -> Iterator[tuple[int, int]]:
-        """(tester, testee) positions of every edge, in edge order.
-
-        Each row is shifted down to its lowest bit first, so that a row of
-        a large graph costs its few bits, not its length, per step.
-        """
-        for tester, out in enumerate(self.out_masks):
-            offset = (out & -out).bit_length() - 1 if out else 0
-            out >>= offset
-            while out:
-                low = out & -out
-                yield tester, offset + low.bit_length() - 1
-                out ^= low
+        """(tester, testee) positions of every edge, in edge order."""
+        return mask_pairs(self.out_masks)
 
     def mask_of(self, members: Iterable[NodeId]) -> int:
         """Bitmask of the ids in ``members``, read by :func:`as_integer`."""
@@ -383,8 +373,9 @@ class Syndrome(_Frozen):
     for output only: the analyses read a syndrome through :func:`failed_masks`.
     """
 
-    # Set on mask-held syndromes only: the graph, per tester position the
-    # testees it failed, and the (tester, testee) positions in reading order.
+    # Set on mask-held syndromes: the graph, per tester position the testees
+    # it failed, and the (tester, testee) positions in reading order.  A
+    # syndrome built from outcomes gets the first two from its first binding.
     _graph: DiagnosticGraph | None = None
     _failed: tuple[int, ...] = ()
     _order: Sequence[tuple[int, int]] | None = None
@@ -497,6 +488,21 @@ def testable_set(graph: DiagnosticGraph, members: Iterable[NodeId]) -> frozenset
     return graph.ids_of(tested_by(graph.out_masks, member_mask) & ~member_mask)
 
 
+def mask_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(p, q) for every bit q of ``masks[p]``, by p and then by q.
+
+    Each row is shifted down to its lowest bit first, so that a row of
+    a large graph costs its few bits, not its length, per step.
+    """
+    for p, row in enumerate(masks):
+        offset = (row & -row).bit_length() - 1 if row else 0
+        row >>= offset
+        while row:
+            low = row & -row
+            yield p, offset + low.bit_length() - 1
+            row ^= low
+
+
 def tested_by(out_masks: Sequence[int], members: int) -> int:
     """Bitmask of the nodes that some node in the bitmask ``members`` tests."""
     reached = 0
@@ -582,7 +588,9 @@ def failed_masks(graph: DiagnosticGraph, syndrome: Syndrome) -> tuple[int, ...]:
     The one binder of a syndrome to a graph, which must be valid.  A
     syndrome held as masks over this graph costs nothing; any other is read
     once and must cover every edge exactly, or a :class:`SyndromeError`
-    names the missing and unknown.
+    names the missing and unknown.  A syndrome not yet held as masks keeps
+    the first binding that succeeds, so later calls with that graph read
+    nothing.
     """
     graph.require_valid()
     if syndrome._graph is graph:
@@ -606,7 +614,10 @@ def failed_masks(graph: DiagnosticGraph, syndrome: Syndrome) -> tuple[int, ...]:
         raise SyndromeError(
             "syndrome must cover every edge exactly once: " + "; ".join(parts)
         )
-    return tuple(masks)
+    masks = tuple(masks)
+    if syndrome._graph is None:
+        vars(syndrome).update(_graph=graph, _failed=masks)
+    return masks
 
 
 def pmc_fits(out_masks: Sequence[int], failed: Sequence[int], fault_mask: int) -> bool:

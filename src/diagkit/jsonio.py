@@ -5,9 +5,12 @@ Graph files look like::
     {"nodes": [{"id": 1, "label": "GPS reader", "hz": 1.0}, ...],
      "edges": [{"tester": 6, "testee": 1, "kind": "input_admissibility"}, ...]}
 
-Syndrome files::
+Syndrome files hold one ``[tester, testee, value]`` row per edge::
 
-    {"outcomes": [{"tester": 5, "testee": 1, "value": 1}, ...]}
+    {"outcomes": [[5, 1, 1], ...]}
+
+and the earlier object rows, ``{"tester": 5, "testee": 1, "value": 1}``,
+are still read.
 
 Temporal graph files embed the base graph plus the expansion recipe, which
 reconstructs the expansion exactly::
@@ -18,7 +21,8 @@ reconstructs the expansion exactly::
 
 Rationals that have an exact decimal spelling are written as JSON numbers;
 anything else is written as a "p/q" string.  Unknown edge-kind strings map
-to "unspecified" with a warning.
+to "unspecified" with a warning.  Every file is written by :func:`dump_json`
+in one compact canonical form.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .graph import (
     as_integer,
     failed_masks,
     fraction_to_json,
+    mask_pairs,
 )
 from .temporal import Interval, TemporalGraph, TemporalTemplate, expand
 
@@ -116,51 +121,94 @@ def graph_from_dict(data: dict) -> DiagnosticGraph:
 
 
 def syndrome_to_dict(syndrome: Syndrome) -> dict:
-    rows = [
-        {"tester": tester, "testee": testee, "value": value}
-        for (tester, testee), value in sorted(syndrome.outcomes.items())
-    ]
+    """``{"outcomes": [[tester, testee, value], ...]}``, rows by (tester, testee)."""
+    rows = [[*pair, value] for pair, value in syndrome.outcomes.items()]
+    rows.sort()
     return {"outcomes": rows}
+
+
+_NO_VALUE = object()  # an object row without a "value"
+
+
+def _outcome_fields(row: object) -> tuple[object, object, object]:
+    """The tester, testee and value of a row that is not an object, or its error."""
+    if isinstance(row, (list, tuple)) and len(row) == 3:
+        return tuple(row)
+    raise ValueError(
+        "each outcome must be a [tester, testee, value] array or an object, "
+        f"got {row!r}"
+    )
+
+
+def _outcome_ids(row: object, tester: object, testee: object) -> tuple[int, int]:
+    """The ids of a row whose tester or testee is not an int, or its error."""
+    if isinstance(row, dict):
+        return _integer(row, "tester", "outcome"), _integer(row, "testee", "outcome")
+    ids = as_integer(tester), as_integer(testee)
+    for key, number in zip(("tester", "testee"), ids):
+        if number is None:
+            raise ValueError(f"outcome {row!r}: {key!r} must be an integer")
+    return ids
 
 
 def syndrome_from_dict(data: dict, graph: DiagnosticGraph | None = None) -> Syndrome:
     """Read a syndrome document in one pass over its rows.
 
-    Each row must be an object with integer ``tester`` and ``testee`` ids,
-    name its edge once and hold a ``value``; the first row that does not
-    raises.  A value other than 0 or 1, and then (with ``graph``) rows for
-    edges the graph lacks or edges without a row, are reported once the
-    pass is done, with the messages of :class:`Syndrome` and
-    :func:`~diagkit.graph.failed_masks`.  With ``graph``, the rows go
-    straight into per-tester failed masks.
+    A row is a ``[tester, testee, value]`` array (what
+    :func:`syndrome_to_dict` writes) or a ``{"tester", "testee", "value"}``
+    object (the earlier format); the two may be mixed.  Each row must have
+    integer ``tester`` and ``testee`` ids, name its edge once and hold a
+    ``value``; the first row that does not raises.  A value other than 0
+    or 1, and then (with ``graph``) rows for edges the graph lacks or edges
+    without a row, are reported once the pass is done, with the messages of
+    :class:`Syndrome` and :func:`~diagkit.graph.failed_masks`.  With
+    ``graph``, the rows go straight into per-tester failed masks.
     """
     rows = data.get("outcomes") if isinstance(data, dict) else None
     if not isinstance(rows, (list, tuple)):
         raise ValueError("syndrome document must have an 'outcomes' list")
-    pos = graph.positions if graph is not None else {}
+    # A dict copy of the positions: its get is faster than the read-only view's.
+    pos = dict(graph.positions) if graph is not None else {}
     out = graph.out_masks if graph is not None else ()
     failed = [0] * len(out)
-    read: dict[tuple[int, int], int | None] = {}  # rows of graph's edges, by position
+    seen = [0] * len(out)  # per tester position, the testees that have a row
     others: dict[tuple[int, int], int | None] = {}  # rows naming no edge of graph
     bad = None  # the first row whose value is not 0 or 1
-    for entry in _objects(rows, "outcome"):
-        tester, testee = entry.get("tester"), entry.get("testee")
-        if type(tester) is not int or type(testee) is not int:
-            tester = _integer(entry, "tester", "outcome")
-            testee = _integer(entry, "testee", "outcome")
+    order = None  # (tester, testee) positions of the rows, once out of edge order
+    last = 0  # the tester position of the last row of an edge
+    for row in rows:
+        if row.__class__ is list and len(row) == 3:
+            tester, testee, value = row
+        elif isinstance(row, dict):
+            tester, testee = row.get("tester"), row.get("testee")
+            value = row.get("value", _NO_VALUE)
+        else:
+            tester, testee, value = _outcome_fields(row)
+        if tester.__class__ is not int or testee.__class__ is not int:
+            tester, testee = _outcome_ids(row, tester, testee)
         u, v = pos.get(tester), pos.get(testee)
         edge = u is not None and v is not None and out[u] >> v & 1
-        key, kept = ((u, v), read) if edge else ((tester, testee), others)
-        if key in kept:
+        if edge:
+            have, bit = seen[u], 1 << v
+            if have & bit:
+                raise SyndromeError(f"duplicate outcome for edge {(tester, testee)}")
+            if order is not None:
+                order.append((u, v))
+            elif have > bit or u < last:  # the first row out of edge order
+                order = [*mask_pairs(seen[: last + 1]), (u, v)]  # the rows so far
+            last = u
+            seen[u] = have | bit
+        elif (tester, testee) in others:
             raise SyndromeError(f"duplicate outcome for edge {(tester, testee)}")
-        if "value" not in entry:
-            raise ValueError(f"outcome {entry!r} has no 'value'")
-        value = as_integer(entry["value"])
-        if value not in (0, 1) and bad is None:
-            bad = (tester, testee, entry["value"])
-        kept[key] = value
-        if edge and value == 1:
-            failed[u] |= 1 << v
+        if value is _NO_VALUE:
+            raise ValueError(f"outcome {row!r} has no 'value'")
+        number = value if value.__class__ is int else as_integer(value)
+        if number != 0 and number != 1 and bad is None:
+            bad = (tester, testee, value)
+        if not edge:
+            others[(tester, testee)] = number
+        elif number == 1:
+            failed[u] |= bit
     if bad is not None:
         tester, testee, value = bad
         raise SyndromeError(
@@ -168,11 +216,11 @@ def syndrome_from_dict(data: dict, graph: DiagnosticGraph | None = None) -> Synd
         )
     if graph is None:
         return Syndrome(others)
-    if others or len(read) != sum(row.bit_count() for row in out):
+    if others or seen != list(out):
         ids = graph.node_ids
-        rows = {(ids[u], ids[v]): value for (u, v), value in read.items()}
-        failed_masks(graph, Syndrome({**rows, **others}))  # raises the coverage error
-    return Syndrome._from_masks(graph, failed, list(read))
+        read = {(ids[u], ids[v]): 0 for u, v in mask_pairs(seen)}
+        failed_masks(graph, Syndrome({**read, **others}))  # raises the coverage error
+    return Syndrome._from_masks(graph, failed, order)
 
 
 def temporal_to_dict(graph: TemporalGraph) -> dict:
@@ -229,8 +277,14 @@ def temporal_from_dict(data: dict) -> TemporalGraph:
 
 
 def dump_json(document: dict) -> str:
-    """Canonical rendering used for files the CLI writes: stable byte-for-byte."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """The canonical rendering of every file diagkit writes.
+
+    Keys sorted, no whitespace between tokens, one final newline: the same
+    document always gives the same bytes, and a graph, temporal or syndrome
+    document read back from them renders to them again.  Without
+    ``indent``, ``json.dumps`` runs CPython's C encoder.
+    """
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _read_json(path: str | Path) -> object:

@@ -6,6 +6,7 @@ import pytest
 
 from diagkit import cli
 from diagkit.cli import main
+from diagkit.identification import StatusReport
 from diagkit.jsonio import dump_json, graph_to_dict
 from diagkit.simulator import scenario
 
@@ -84,6 +85,27 @@ class TestIdentify:
         assert doc["verdict"] == {"kind": "unique", "fault_set": [1]}
         assert doc["statuses"]["1"] == "known_faulty"
 
+    def test_syndrome_file_is_compact_array_rows(self, capsys, tmp_path):
+        syn = tmp_path / "s.json"
+        assert main(["simulate", "five_cycle", "--faults", "1", "--out", str(syn)]) == 0
+        rows = "[1,2,0],[2,3,0],[3,4,0],[4,5,0],[5,1,1]"
+        assert syn.read_text() == '{"outcomes":[' + rows + ']}\n'
+
+    def test_human_output_builds_no_json_document(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        syn = tmp_path / "s.json"
+        assert main(["simulate", "five_cycle", "--faults", "1", "--out", str(syn)]) == 0
+        capsys.readouterr()
+
+        def refuse(self):
+            raise AssertionError("a JSON document was built for human output")
+
+        monkeypatch.setattr(StatusReport, "to_json_dict", refuse)
+        code, out, _ = run(capsys, "identify", "five_cycle", str(syn), "--t", "1")
+        assert code == 0
+        assert out.startswith("verdict: unique [1]\n  node 1: known_faulty\n")
+
     def test_ambiguous(self, capsys, tmp_path):
         syn = tmp_path / "s.json"
         syn.write_text(
@@ -117,7 +139,8 @@ class TestSimulate:
         code, doc, _ = run_json(capsys, "simulate", "five_cycle", "--faults", "")
         assert code == 0
         assert doc["faults"] == []
-        assert all(row["value"] == 0 for row in doc["syndrome"]["outcomes"])
+        rows = doc["syndrome"]["outcomes"]
+        assert len(rows) == 5 and all(value == 0 for _, _, value in rows)
 
     def test_deterministic_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -411,7 +434,8 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "document",
         [
-            {"outcomes": [[5, 1, 1]]},
+            {"outcomes": [[5, 1]]},
+            {"outcomes": [[5, 1, 1, 0]]},
             {"outcomes": [{"tester": 1, "testee": 2}]},
             {"outcomes": [{"tester": None, "testee": 2, "value": 0}]},
             {"outcomes": 7},

@@ -1,7 +1,8 @@
 """Fuzzing the command line with small, often malformed, documents.
 
 Graph, syndrome and temporal documents are drawn with ids and values that
-mix integers, floats, bools, strings and rationals such as ``"1/0"``, and
+mix integers, floats, bools, strings and rationals such as ``"1/0"``
+(syndrome rows as ``[tester, testee, value]`` arrays or as objects), and
 fed through ``cli.main`` for ``analyze``, ``identify``, ``expand``,
 ``profile``, ``audit`` and ``export-dot``.  Whatever the input, the exit
 code is 0, 1 or 2 and no exception escapes: exit 2 comes with an
@@ -87,15 +88,24 @@ def temporal_documents(draw):
     return {"base": draw(graph_documents(max_nodes=4)), "temporal": recipe}
 
 
+def outcome_row(draw, tester, testee, value):
+    """A ``[tester, testee, value]`` array or, the earlier shape, an object."""
+    if draw(st.booleans()):
+        return [tester, testee, value]
+    return {"tester": tester, "testee": testee, "value": value}
+
+
 @st.composite
 def syndrome_documents(draw, pairs):
     """Rows for the given (tester, testee) pairs, now and then spoilt."""
     rows = [
-        {"tester": i, "testee": j, "value": pick(draw, [0, 1, 1.0], chance=30)}
-        for i, j in pairs
+        outcome_row(draw, i, j, pick(draw, [0, 1, 1.0], chance=30)) for i, j in pairs
     ]
     if draw(st.integers(0, 7)) == 0:
-        spoilt = {"tester": node_id(draw), "testee": node_id(draw), "value": 1}
+        spoilt = outcome_row(draw, node_id(draw), node_id(draw), 1)
+        if draw(st.integers(0, 2)) == 0:  # an array of another length
+            length = draw(st.sampled_from([0, 2, 4]))
+            spoilt = [node_id(draw), node_id(draw), 1, 0][:length]
         rows.insert(draw(st.integers(0, len(rows))), spoilt)
     if rows and draw(st.integers(0, 7)) == 0:
         del rows[draw(st.integers(0, len(rows) - 1))]

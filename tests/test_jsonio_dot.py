@@ -24,7 +24,7 @@ from diagkit.jsonio import (
     temporal_from_dict,
     temporal_to_dict,
 )
-from diagkit.simulator import ALWAYS_PASS, generate_syndrome
+from diagkit.simulator import ALWAYS_PASS, bernoulli, generate_syndrome
 from diagkit.temporal import Interval, TemporalGraph, TemporalTemplate, expand, restrict
 
 
@@ -103,8 +103,46 @@ class TestSyndromeJson:
         assert syndrome_from_dict(data, five_cycle) == syndrome
 
     def test_documented_shape(self):
-        doc = syndrome_to_dict(Syndrome({(5, 1): 1}))
-        assert doc == {"outcomes": [{"tester": 5, "testee": 1, "value": 1}]}
+        doc = syndrome_to_dict(Syndrome({(5, 1): 1, (1, 2): 0}))
+        assert doc == {"outcomes": [[1, 2, 0], [5, 1, 1]]}
+        assert dump_json(doc) == '{"outcomes":[[1,2,0],[5,1,1]]}\n'
+
+    @staticmethod
+    def last_row_error(graph, row):
+        """The error of a five-cycle syndrome whose row for (5, 1) is ``row``."""
+        rows = [[1, 2, 0], [2, 3, 0], [3, 4, 0], [4, 5, 0], row]
+        with pytest.raises((ValueError, SyndromeError)) as caught:
+            syndrome_from_dict({"outcomes": rows}, graph)
+        return caught.type, str(caught.value)
+
+    @pytest.mark.parametrize("row", [[5, 1], [5, 1, 1, 0], [], (5, 1), 7, None])
+    def test_rows_of_another_shape(self, five_cycle, row):
+        assert self.last_row_error(five_cycle, row) == (
+            ValueError,
+            "each outcome must be a [tester, testee, value] array or an object, "
+            f"got {row!r}",
+        )
+
+    @pytest.mark.parametrize(
+        "row, key",
+        [([True, 1, 1], "tester"), ([5, 1.5, 1], "testee"), (["5", 1, 1], "tester"),
+         ([5, None, 1], "testee")],
+    )
+    def test_array_ids_that_are_not_integers(self, five_cycle, row, key):
+        assert self.last_row_error(five_cycle, row) == (
+            ValueError, f"outcome {row!r}: {key!r} must be an integer"
+        )
+
+    @pytest.mark.parametrize("value", [True, 1.5, "2", None, 2])
+    def test_array_values_that_are_not_0_or_1(self, five_cycle, value):
+        assert self.last_row_error(five_cycle, [5, 1, value]) == (
+            SyndromeError, f"outcome for edge (5, 1) must be 0 or 1, got {value!r}"
+        )
+
+    def test_duplicate_array_row(self, five_cycle):
+        assert self.last_row_error(five_cycle, [4, 5, 1]) == (
+            SyndromeError, "duplicate outcome for edge (4, 5)"
+        )
 
     def test_duplicate_outcome_rejected(self, five_cycle):
         data = {
@@ -165,6 +203,22 @@ class TestFiles:
     def test_dump_json_is_stable(self, five_cycle):
         doc = graph_to_dict(five_cycle)
         assert dump_json(doc) == dump_json(json.loads(json.dumps(doc)))
+
+    def test_dump_json_is_compact_and_reads_back_to_the_same_bytes(self, pane_100hz):
+        template = TemporalTemplate(offsets=frozenset({1, 2}), bidirectional=True)
+        temporal = expand(pane_100hz, Fraction(100, 3), Interval(0, 0.06), template)
+        flat = temporal.flat_graph
+        syndrome = generate_syndrome(flat, [0, 4], bernoulli(0.5), seed=3)
+        for doc in (
+            graph_to_dict(pane_100hz),
+            graph_to_dict(flat),
+            temporal_to_dict(temporal),
+            syndrome_to_dict(syndrome),
+        ):
+            text = dump_json(doc)
+            assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+            assert text.count("\n") == 1
+            assert dump_json(json.loads(text)) == text
 
 
 class TestDot:

@@ -29,12 +29,14 @@ from diagkit.jsonio import (
 from diagkit.simulator import bernoulli, generate_syndrome, scenario
 from diagkit.temporal import Interval, TemporalTemplate, expand, restrict
 from test_runtime_path import (
+    FIELDS,
     gapped_base,
     literal_expand_edges,
     literal_flat_graph,
     literal_syndrome_from_dict,
     outcome_of,
     random_expansion,
+    shaped,
 )
 
 
@@ -136,33 +138,35 @@ class TestFlatGraphFromMasks:
 
 
 def flawed_rows(rng, graph):
-    """Rows over ``graph`` in random order, some of them malformed."""
+    """Rows over ``graph`` in random order, arrays and objects mixed, some
+    of them malformed."""
     pairs = [edge.pair for edge in graph.edges]
-    rows = [
-        {"tester": a, "testee": b, "value": rng.randint(0, 1)}
-        for a, b in rng.sample(pairs, len(pairs))
-    ]
+    rows = [[a, b, rng.randint(0, 1)] for a, b in rng.sample(pairs, len(pairs))]
+    if rows and rng.random() < 0.25:
+        rng.choice(rows)[2] = rng.choice([2, -1, 0.7, True, "1", None, 1.0])
+    rows = [shaped(rng, fields) for fields in rows]
     for _ in range(rng.choice([0, 0, 1, 2])):
         index = rng.randrange(len(rows) + 1)
-        flaw = rng.randrange(8)
-        row = dict(rng.choice(rows)) if rows else {"tester": 0, "testee": 1, "value": 0}
+        flaw = rng.randrange(9)
+        fields = [*rng.choice(pairs), rng.randint(0, 1)] if pairs else [0, 1, 0]
+        row = None
         if flaw == 0:
             del rows[index:index + 1]  # an edge left without a row
             continue
         if flaw == 1:
-            row["value"] = rng.choice([2, -1, 0.7, True, "1", None, 1.0])
-            rows[index:index + 1] = [row]
-            continue
-        if flaw == 2:
-            row["tester"] = rng.choice([1.5, "1", True, None, [1], 1e300 * 10])
+            junk = rng.choice([1.5, "1", True, None, [1], 1e300 * 10])
+            fields[rng.randrange(2)] = junk
+        elif flaw == 2:
+            fields[1] = rng.randint(0, 3 * graph.n + 3)  # often no edge
         elif flaw == 3:
-            row["testee"] = rng.randint(0, 3 * graph.n + 3)  # often no edge
+            row = dict(zip(FIELDS, fields))
+            del row[rng.choice(FIELDS)]
         elif flaw == 4:
-            del row[rng.choice(["tester", "testee", "value"])]
+            row = (fields + [0])[: rng.choice([0, 1, 2, 4])]  # not three fields
         elif flaw == 5:
-            row = [row.get("tester"), row.get("testee"), row.get("value")]
-        # flaw 6 and 7 repeat an edge
-        rows.insert(index, row)
+            row = rng.choice([5, "x", None, True])  # neither an array nor an object
+        # flaws 6 to 8 repeat an edge
+        rows.insert(index, shaped(rng, fields) if row is None else row)
     return rows
 
 
@@ -188,13 +192,38 @@ class TestSyndromeFromMasks:
                     graph, Syndrome(want[1])
                 )
                 syndrome.require_total(graph)
-            elif want[0] in (TypeError, KeyError):
+            elif want[0] is KeyError:  # an object row without one of its fields
                 outcomes["error"] += 1
                 assert got[0] is ValueError
             else:
                 outcomes["error"] += 1
                 assert got == want
         assert min(outcomes.values()) > 50, outcomes
+
+    def test_object_and_array_rows_read_equal(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            if rng.random() < 0.5:
+                graph = random_expansion(rng, rng.randint(1, 4), 4).flat_graph
+            else:
+                graph = gapped_base(rng, rng.randint(1, 7), rng.random())
+            faults = rng.sample(graph.node_ids, min(graph.n, rng.randint(0, 2)))
+            written = syndrome_to_dict(
+                generate_syndrome(graph, faults, bernoulli(0.5), seed=rng.randrange(99))
+            )["outcomes"]
+            if rng.random() < 0.5:
+                rng.shuffle(written)
+            objects = [dict(zip(FIELDS, row)) for row in written]
+            mixed = [shaped(rng, row) for row in written]
+            reads = [
+                syndrome_from_dict({"outcomes": rows}, against)
+                for rows in (written, objects, mixed)
+                for against in (graph, None)
+            ]
+            want = [((a, b), value) for a, b, value in written]
+            assert all(list(read.outcomes.items()) == want for read in reads)
+            masks = {failed_masks(graph, read) for read in reads}
+            assert masks == {failed_masks(graph, Syndrome(dict(want)))}
 
     def test_mask_held_syndrome_against_another_graph(self):
         rng = random.Random(41)

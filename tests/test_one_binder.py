@@ -18,7 +18,7 @@ import pytest
 
 from conftest import random_digraph
 from diagkit.diagnosability import common_syndrome, search_ceiling
-from diagkit.errors import GraphError, SizeCapError
+from diagkit.errors import GraphError, SizeCapError, SyndromeError
 from diagkit.graph import (
     ConsistencyReport,
     DiagnosticGraph,
@@ -147,6 +147,17 @@ def recording():
     )
 
 
+class CountedSyndrome(Syndrome):
+    """A syndrome that counts the reads of its ``outcomes``."""
+
+    reads = 0
+
+    @property
+    def outcomes(self):
+        CountedSyndrome.reads += 1
+        return vars(self)["outcomes"]
+
+
 def partial_syndromes(rng, graph):
     """Dict syndromes over most of the graph's edges, some with foreign pairs."""
     pairs = [edge.pair for edge in graph.edges]
@@ -224,6 +235,29 @@ class TestOneBinder:
             assert outcome_of(failed_masks, other, held) == outcome_of(
                 literal_require_total, dict(held.outcomes), other
             )
+
+    def test_the_first_binding_is_kept(self):
+        flat = recording().flat_graph
+        held = generate_syndrome(flat, [3, 40, 700], bernoulli(0.5), seed=5)
+        outcomes = dict(held.outcomes)
+        syndrome = CountedSyndrome(outcomes)
+        partial = CountedSyndrome(dict(list(outcomes.items())[1:]))
+        for _ in range(2):  # a failed binding is not kept
+            with pytest.raises(SyndromeError, match="missing"):
+                failed_masks(flat, partial)
+        assert failed_masks(flat, syndrome) == held._failed
+        reads = CountedSyndrome.reads
+        assert failed_masks(flat, syndrome) is failed_masks(flat, syndrome)
+        assert identify(flat, syndrome, 3) == node_status(flat, syndrome, 3).verdict
+        assert CountedSyndrome.reads == reads
+        # Another graph reads the outcomes again and leaves the binding as it is.
+        twin = DiagnosticGraph.build(flat.nodes, flat.edges)
+        assert failed_masks(twin, syndrome) == held._failed
+        assert CountedSyndrome.reads > reads
+        reads = CountedSyndrome.reads
+        assert failed_masks(flat, syndrome) is failed_masks(flat, syndrome)
+        assert CountedSyndrome.reads == reads
+        assert list(syndrome.outcomes.items()) == list(outcomes.items())
 
     def test_consistency_reports_match_the_literal_check(self):
         rng = random.Random(13)

@@ -150,8 +150,23 @@ def literal_require_total(outcomes, graph):
         )
 
 
+FIELDS = ("tester", "testee", "value")
+
+
+def shaped(rng, fields):
+    """``fields`` as a [tester, testee, value] array or as an object, at random."""
+    return fields if rng.random() < 0.5 else dict(zip(FIELDS, fields))
+
+
+def literal_field(entry, key):
+    """A field of a row: a [tester, testee, value] array, or an object."""
+    if isinstance(entry, (list, tuple)):
+        return entry[FIELDS.index(key)]
+    return entry[key]
+
+
 def literal_id(entry, key):
-    number = literal_integer(entry[key])
+    number = literal_integer(literal_field(entry, key))
     if number is None:
         raise ValueError(f"outcome {entry!r}: {key!r} must be an integer")
     return number
@@ -162,10 +177,18 @@ def literal_syndrome_from_dict(data, graph=None):
         raise ValueError("syndrome document must have an 'outcomes' list")
     outcomes = {}
     for entry in data["outcomes"]:
+        if not (
+            isinstance(entry, dict)
+            or isinstance(entry, (list, tuple)) and len(entry) == 3
+        ):
+            raise ValueError(
+                "each outcome must be a [tester, testee, value] array or an "
+                f"object, got {entry!r}"
+            )
         pair = (literal_id(entry, "tester"), literal_id(entry, "testee"))
         if pair in outcomes:
             raise SyndromeError(f"duplicate outcome for edge {pair}")
-        outcomes[pair] = entry["value"]
+        outcomes[pair] = literal_field(entry, "value")
     normalized = literal_normalized(outcomes)
     if graph is not None:
         literal_require_total(normalized, graph)
@@ -324,14 +347,22 @@ class TestValidationMatchesLiteral:
                 return [tester, testee, entry["value"]]
             elif flaw == 3:
                 entry["tester"] = rng.choice(["a", str(tester), [tester], float(tester)])
+            elif flaw == 4:
+                fields = [tester, testee, entry["value"]]
+                fields[rng.randrange(3)] = rng.choice([True, 1.5, "2", None])
+                return fields
+            elif flaw == 5:
+                return [tester, testee, entry["value"], 0][: rng.choice([0, 2, 4])]
             return entry
 
+        seen = {"ok": 0, KeyError: 0, "error": 0}
         for _ in range(400):
             rows = [row() for _ in range(rng.randint(0, 8))]
             if rng.random() < 0.5:
-                # every edge once, in random order: the document is often total
+                # every edge once, in random order and either row shape: the
+                # document is often total
                 rows = [
-                    {"tester": a, "testee": b, "value": rng.randint(0, 1)}
+                    shaped(rng, [a, b, rng.randint(0, 1)])
                     for a, b in rng.sample(pairs, len(pairs))
                 ] + rows[: rng.randint(0, 1)]
             data = {"outcomes": rows}
@@ -340,13 +371,15 @@ class TestValidationMatchesLiteral:
             got = outcome_of(
                 lambda: dict(syndrome_from_dict(data, against).outcomes)
             )
-            if want[0] in (TypeError, KeyError, AttributeError):
+            seen[want[0] if want[0] in ("ok", KeyError) else "error"] += 1
+            if want[0] is KeyError:  # an object row without one of its fields
                 assert got[0] is ValueError
             elif want[0] == "ok":
                 assert got == want
                 assert list(got[1]) == list(want[1])
             else:
                 assert got == want
+        assert min(seen.values()) > 20, seen
 
 
 # ---------------------------------------------------------------------------
