@@ -63,7 +63,7 @@ def _emit(
     """Print the JSON document under --json, else the human text; only the
     form printed is built."""
     if getattr(args, "json", False):
-        print(json.dumps(document(), indent=2, sort_keys=True))
+        print(jsonio.dump_json(document()), end="")
     else:
         print(human())
 
@@ -445,22 +445,37 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
+    """Run the chosen subcommand; an input error prints its message and gives 2."""
     try:
         # Read here, not as a parser default, so a bad value is an input error.
         exact_cap = _default_exact_cap()
         if "exact_cap" in vars(args) and args.exact_cap is None:
             args.exact_cap = exact_cap
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except (DiagkitError, OSError, ValueError, json.JSONDecodeError) as exc:
         message = f"error: {exc}"
         if getattr(args, "json", False):
-            print(json.dumps({"error": str(exc)}))
-            print(message, file=sys.stderr)
-        else:
-            print(message, file=sys.stderr)
+            print(jsonio.dump_json({"error": str(exc)}), end="")
+        print(message, file=sys.stderr)
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # The reader is gone: print nothing more to stdout, and let the
+        # flush at exit write what is still buffered to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

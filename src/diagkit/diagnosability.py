@@ -122,7 +122,6 @@ class _Budget:
 
 
 def _check_args(graph: DiagnosticGraph, t: int) -> int:
-    graph.require_valid()
     n = graph.n
     if n == 0:
         raise GraphError("empty graph")
@@ -204,7 +203,6 @@ def revalidate_certificate(
     Failure witnesses are validated directly from adjacency queries rather
     than by re-running the subset scan; passing certificates are re-derived.
     """
-    graph.require_valid()
     t = certificate.t
     if certificate.diagnosable:
         return is_t_diagnosable(graph, t).diagnosable
@@ -266,7 +264,6 @@ def max_diagnosability(
     first success from above is the answer.  Exponential in the worst case,
     hence the node cap; use :func:`diagnosability_bounds` beyond it.
     """
-    graph.require_valid()
     if graph.n == 0:
         raise GraphError("empty graph")
     if graph.n > exact_cap:
@@ -301,7 +298,6 @@ def diagnosability_bounds(
     to enumerate at most ``subset_budget`` subsets in total; it degrades to
     0 when the budget runs out before any level is verified.
     """
-    graph.require_valid()
     if graph.n == 0:
         return Bounds(0, 0)
     ceiling = search_ceiling(graph)
@@ -346,7 +342,6 @@ def common_syndrome(
     tested only from inside their union.  Outcomes that neither set forces
     (both testers faulty) are materialized as 0 for determinism.
     """
-    graph.require_valid()
     mask_a = graph.mask_of(fault_a)
     mask_b = graph.mask_of(fault_b)
     outside = ((1 << graph.n) - 1) & ~(mask_a | mask_b)

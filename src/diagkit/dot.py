@@ -20,7 +20,6 @@ def graph_to_dot(
     With a syndrome, failing edges (outcome 1) are highlighted; passing
     edges stay plain solid.
     """
-    graph.require_valid()
     if syndrome is not None:
         syndrome.require_total(graph)
     lines = [f"digraph {name} {{"]

@@ -159,18 +159,23 @@ class _Frozen:
 class DiagnosticGraph(_Frozen):
     """A set of modules plus the test assignments between them.
 
-    Invariants (checked by :func:`validate` / :meth:`require_valid`):
-    no self-tests, no duplicate (tester, testee) pairs, no duplicate node
-    ids, and every edge endpoint declared as a node.
+    Invariants, checked when the graph is built: no self-tests, no
+    duplicate (tester, testee) pairs, no duplicate node ids, and every edge
+    endpoint declared as a node.  A :class:`GraphError` names each
+    violation.
 
     Node ids are kept as small integers so that node subsets can live in
     machine-word bitmasks; subset enumeration dominates the runtime of the
-    analyses built on top of this type.  A graph built from nodes and edges
-    keeps both, sorted by id and by (tester, testee).  A graph built from
-    masks (:meth:`_from_masks`) is valid by construction and keeps its node
-    ids and ``out_masks``; its ``nodes`` and ``edges`` are views built on
-    first read, with the same values and order.
+    analyses built on top of this type.  Every graph holds its ``node_ids``,
+    ascending, and per position the bitmask of the positions it tests
+    (``out_masks``).  A graph built from nodes and edges also keeps both,
+    sorted by id and by (tester, testee).  A graph built from masks
+    (:meth:`_from_masks`) is valid by construction; its ``nodes`` and
+    ``edges`` are views built on first read, with the same values and order.
     """
+
+    node_ids: tuple[NodeId, ...]
+    out_masks: tuple[int, ...]
 
     # Set on mask-built graphs only: the node at a position, and the kind
     # of the edge between a tester and a testee position.
@@ -178,19 +183,34 @@ class DiagnosticGraph(_Frozen):
     _kind: Callable[[int, int], EdgeKind] | None = None
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]) -> None:
+        nodes = tuple(sorted(nodes, key=_BY_ID))
+        edges = tuple(sorted(edges, key=_BY_PAIR))
+        ids = tuple(map(_BY_ID, nodes))
+        pos = {nid: p for p, nid in enumerate(ids)}
+        masks = [0] * len(ids)
+        valid = len(pos) == len(ids)
+        for tester, testee in map(_BY_PAIR, edges):
+            u, v = pos.get(tester), pos.get(testee)
+            if u is None or v is None or u == v or masks[u] >> v & 1:
+                valid = False
+                break
+            masks[u] |= 1 << v
+        if not valid:
+            raise GraphError("; ".join(_violations(nodes, edges)))
         vars(self).update(
-            nodes=tuple(sorted(nodes, key=_BY_ID)),
-            edges=tuple(sorted(edges, key=_BY_PAIR)),
+            nodes=nodes,
+            edges=edges,
+            node_ids=ids,
+            out_masks=tuple(masks),
+            positions=MappingProxyType(pos),
         )
 
     @classmethod
     def build(
         cls, nodes: Iterable[Node], edges: Iterable[Edge]
     ) -> "DiagnosticGraph":
-        """Construct and validate; raises :class:`GraphError` on violations."""
-        graph = cls(tuple(nodes), tuple(edges))
-        graph.require_valid()
-        return graph
+        """The constructor, as a classmethod; raises :class:`GraphError`."""
+        return cls(nodes, edges)
 
     @classmethod
     def _from_masks(
@@ -211,7 +231,6 @@ class DiagnosticGraph(_Frozen):
         vars(graph).update(
             node_ids=tuple(node_ids),
             out_masks=tuple(out_masks),
-            violations=(),
             _node=node,
             _kind=kind,
         )
@@ -246,45 +265,11 @@ class DiagnosticGraph(_Frozen):
             Edge(ids[u], ids[v], kind(u, v)) for u, v in self.position_pairs()
         )
 
-    # -- structural validation -------------------------------------------
-
-    @cached_property
-    def violations(self) -> tuple[str, ...]:
-        found: list[str] = []
-        seen_ids: set[int] = set()
-        for node in self.nodes:
-            if node.id in seen_ids:
-                found.append(f"duplicate node id: {node.id}")
-            seen_ids.add(node.id)
-        seen_pairs: set[tuple[int, int]] = set()
-        for pair in map(_BY_PAIR, self.edges):
-            tester, testee = pair
-            if tester == testee:
-                found.append(f"self-loop: edge ({tester}, {testee})")
-            if pair in seen_pairs:
-                found.append(f"duplicate edge: ({tester}, {testee})")
-            seen_pairs.add(pair)
-            for endpoint in pair:
-                if endpoint not in seen_ids:
-                    found.append(
-                        f"dangling endpoint: edge ({tester}, {testee}) "
-                        f"references undeclared node {endpoint}"
-                    )
-        return tuple(found)
-
-    def require_valid(self) -> None:
-        if self.violations:
-            raise GraphError("; ".join(self.violations))
-
     # -- basic views ------------------------------------------------------
 
     @property
     def n(self) -> int:
         return len(self.node_ids)
-
-    @cached_property
-    def node_ids(self) -> tuple[NodeId, ...]:
-        return tuple(node.id for node in self.nodes)
 
     @cached_property
     def node_by_id(self) -> Mapping[NodeId, Node]:
@@ -295,16 +280,7 @@ class DiagnosticGraph(_Frozen):
         """Dense position of each node id, in ascending id order."""
         return MappingProxyType({nid: pos for pos, nid in enumerate(self.node_ids)})
 
-    # -- bitmask adjacency (valid graphs only) ----------------------------
-
-    @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        """Per position, bitmask of out-neighbours (the nodes it tests)."""
-        masks = [0] * self.n
-        pos = self.positions
-        for edge in self.edges:
-            masks[pos[edge.tester]] |= 1 << pos[edge.testee]
-        return tuple(masks)
+    # -- bitmask adjacency ------------------------------------------------
 
     @cached_property
     def tester_masks(self) -> tuple[int, ...]:
@@ -357,6 +333,31 @@ class DiagnosticGraph(_Frozen):
             out.append(ids[low.bit_length() - 1])
             mask ^= low
         return tuple(out)
+
+
+def _violations(nodes: Sequence[Node], edges: Sequence[Edge]) -> list[str]:
+    """Every invariant that sorted ``nodes`` and ``edges`` break, in order."""
+    found: list[str] = []
+    seen_ids: set[int] = set()
+    for node in nodes:
+        if node.id in seen_ids:
+            found.append(f"duplicate node id: {node.id}")
+        seen_ids.add(node.id)
+    seen_pairs: set[tuple[int, int]] = set()
+    for pair in map(_BY_PAIR, edges):
+        tester, testee = pair
+        if tester == testee:
+            found.append(f"self-loop: edge ({tester}, {testee})")
+        if pair in seen_pairs:
+            found.append(f"duplicate edge: ({tester}, {testee})")
+        seen_pairs.add(pair)
+        for endpoint in pair:
+            if endpoint not in seen_ids:
+                found.append(
+                    f"dangling endpoint: edge ({tester}, {testee}) "
+                    f"references undeclared node {endpoint}"
+                )
+    return found
 
 
 class Syndrome(_Frozen):
@@ -460,14 +461,8 @@ class Syndrome(_Frozen):
 # ---------------------------------------------------------------------------
 
 
-def validate(graph: DiagnosticGraph) -> list[str]:
-    """Report structural violations; an empty list means the graph is valid."""
-    return list(graph.violations)
-
-
 def min_in_degree(graph: DiagnosticGraph) -> tuple[int, frozenset[NodeId]]:
     """Minimum in-degree and the set of nodes attaining it."""
-    graph.require_valid()
     if not graph.n:
         raise GraphError("empty graph")
     degrees = graph.in_degrees
@@ -483,7 +478,6 @@ def testable_set(graph: DiagnosticGraph, members: Iterable[NodeId]) -> frozenset
 
     This is the out-neighbourhood of the set, minus the set itself.
     """
-    graph.require_valid()
     member_mask = graph.mask_of(members)
     return graph.ids_of(tested_by(graph.out_masks, member_mask) & ~member_mask)
 
@@ -585,14 +579,12 @@ def pmc_compatible(
 def failed_masks(graph: DiagnosticGraph, syndrome: Syndrome) -> tuple[int, ...]:
     """Per position of ``graph``, bitmask of the testees it failed.
 
-    The one binder of a syndrome to a graph, which must be valid.  A
-    syndrome held as masks over this graph costs nothing; any other is read
-    once and must cover every edge exactly, or a :class:`SyndromeError`
-    names the missing and unknown.  A syndrome not yet held as masks keeps
-    the first binding that succeeds, so later calls with that graph read
-    nothing.
+    The one binder of a syndrome to a graph.  A syndrome held as masks
+    over this graph costs nothing; any other is read once and must cover
+    every edge exactly, or a :class:`SyndromeError` names the missing and
+    unknown.  A syndrome not yet held as masks keeps the first binding that
+    succeeds, so later calls with that graph read nothing.
     """
-    graph.require_valid()
     if syndrome._graph is graph:
         return syndrome._failed
     pos, out = graph.positions, graph.out_masks

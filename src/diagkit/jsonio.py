@@ -51,10 +51,6 @@ from .temporal import Interval, TemporalGraph, TemporalTemplate, expand
 _KINDS_BY_VALUE = {kind.value: kind for kind in EdgeKind}
 
 
-def fraction_from_json(value: int | float | str) -> Fraction:
-    return as_fraction(value)
-
-
 def graph_to_dict(graph: DiagnosticGraph) -> dict:
     nodes = []
     for node in graph.nodes:
@@ -96,7 +92,7 @@ def graph_from_dict(data: dict) -> DiagnosticGraph:
         hz = entry.get("hz")
         node_id = _integer(entry, "id", "node")
         try:
-            frequency = fraction_from_json(hz) if hz is not None else None
+            frequency = as_fraction(hz) if hz is not None else None
         except TypeError as exc:
             raise ValueError(f"node {entry!r}: 'hz' must be a rational") from exc
         nodes.append(
@@ -243,7 +239,7 @@ def temporal_to_dict(graph: TemporalGraph) -> dict:
 
 def _rational(value: object, what: str) -> Fraction:
     try:
-        return fraction_from_json(value)
+        return as_fraction(value)
     except TypeError as exc:
         raise ValueError(f"{what} must be a rational, got {value!r}") from exc
 

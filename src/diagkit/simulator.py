@@ -129,7 +129,6 @@ def generate_syndrome(
     Fault ids follow the integrality rule of ``DiagnosticGraph.mask_of``.
     The syndrome is held as failed masks over ``graph``.
     """
-    graph.require_valid()
     fault_mask = graph.mask_of(faults)
     if policy.kind is PolicyKind.ADVERSARIAL:
         return _adversarial_syndrome(graph, fault_mask, policy)
@@ -406,7 +405,6 @@ def monte_carlo(
     t.  Deterministic given the seed.  Adversarial policies without an
     explicit budget are given t.
     """
-    graph.require_valid()
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if t < 0:

@@ -221,7 +221,6 @@ def expand(
     contain at least one.  Pane-internal edges copy the base edges; cross
     pane edges follow the template.
     """
-    base.require_valid()
     rate = as_fraction(frequency_hz)
     if rate <= 0:
         raise ValueError(f"frequency must be positive, got {rate}")
@@ -255,7 +254,6 @@ def frequency_subgraph(
     All nodes must carry a frequency.  The result may be empty, which is
     valid: it simply means no module publishes that fast.
     """
-    base.require_valid()
     missing = [node.id for node in base.nodes if node.frequency_hz is None]
     if missing:
         raise GraphError(f"missing frequencies: nodes {missing}")

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, JSON emission."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,16 @@ class TestSimulate:
         )
         assert code == 0
         assert doc["identification"] == {"kind": "unique", "fault_set": [1]}
+
+    def test_json_stdout_is_the_canonical_rendering(self, capsys):
+        code, out, _ = run(capsys, "simulate", "five_cycle", "--faults", "1", "--json")
+        assert code == 0
+        rows = "[1,2,0],[2,3,0],[3,4,0],[4,5,0],[5,1,1]"
+        assert out == '{"faults":[1],"syndrome":{"outcomes":[' + rows + ']}}\n'
+        assert out == dump_json(json.loads(out))
+        code, out, _ = run(capsys, "simulate", "five_cycle", "--faults", "9", "--json")
+        assert code == 2
+        assert out == '{"error":"unknown node ids: [9]"}\n'
 
 
 class TestExpandProfileAudit:
@@ -626,3 +640,32 @@ class TestParserReuse:
         assert reused == fresh
         assert cli._parser.cache_info().misses == 1
         assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "five_cycle", "--faults", "1", "--json"],
+            ["analyze", "five_cycle", "--t", "1"],
+            ["analyze", "no_such_graph.json", "--json"],
+        ],
+    )
+    def test_exit_2_without_a_traceback(self, argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "diagkit.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr

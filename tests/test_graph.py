@@ -19,7 +19,6 @@ from diagkit.graph import (
     min_in_degree,
     pmc_compatible,
     testable_set,
-    validate,
 )
 
 
@@ -33,35 +32,52 @@ def complete_digraph(n: int) -> DiagnosticGraph:
 
 class TestValidate:
     def test_five_cycle_is_clean(self, five_cycle):
-        assert validate(five_cycle) == []
+        assert DiagnosticGraph(five_cycle.nodes, five_cycle.edges) == five_cycle
 
     def test_self_loop(self):
-        g = DiagnosticGraph((Node(1), Node(2)), (Edge(1, 1),))
-        report = validate(g)
-        assert any("self-loop" in item for item in report)
+        with pytest.raises(GraphError) as raised:
+            DiagnosticGraph((Node(1), Node(2)), (Edge(1, 1),))
+        assert str(raised.value) == "self-loop: edge (1, 1)"
 
     def test_dangling_endpoint(self):
         nodes = tuple(Node(i) for i in range(1, 6))
-        g = DiagnosticGraph(nodes, (Edge(1, 9),))
-        report = validate(g)
-        assert any("dangling endpoint" in item and "9" in item for item in report)
+        with pytest.raises(GraphError) as raised:
+            DiagnosticGraph(nodes, (Edge(1, 9),))
+        assert str(raised.value) == (
+            "dangling endpoint: edge (1, 9) references undeclared node 9"
+        )
 
     def test_duplicate_edge(self):
-        g = DiagnosticGraph((Node(1), Node(2)), (Edge(1, 2), Edge(1, 2)))
-        assert any("duplicate edge" in item for item in validate(g))
+        with pytest.raises(GraphError) as raised:
+            DiagnosticGraph((Node(1), Node(2)), (Edge(1, 2), Edge(1, 2)))
+        assert str(raised.value) == "duplicate edge: (1, 2)"
 
     def test_duplicate_node_id(self):
-        g = DiagnosticGraph((Node(1), Node(1, label="again")), ())
-        assert any("duplicate node id" in item for item in validate(g))
+        with pytest.raises(GraphError) as raised:
+            DiagnosticGraph((Node(1), Node(1, label="again")), ())
+        assert str(raised.value) == "duplicate node id: 1"
 
     def test_build_raises_on_violations(self):
         with pytest.raises(GraphError, match="self-loop"):
             DiagnosticGraph.build([Node(1)], [Edge(1, 1)])
 
     def test_operations_reject_invalid_graphs(self):
-        g = DiagnosticGraph((Node(1), Node(2)), (Edge(1, 1),))
-        with pytest.raises(GraphError):
-            min_in_degree(g)
+        # No invalid graph exists to pass to an operation: building one raises,
+        # naming every violation in node, then edge order.
+        with pytest.raises(GraphError) as raised:
+            min_in_degree(
+                DiagnosticGraph(
+                    (Node(2), Node(1), Node(2)), (Edge(2, 2), Edge(1, 3), Edge(1, 3))
+                )
+            )
+        dangling = "dangling endpoint: edge (1, 3) references undeclared node 3"
+        assert str(raised.value) == "; ".join([
+            "duplicate node id: 2",
+            dangling,
+            "duplicate edge: (1, 3)",
+            dangling,
+            "self-loop: edge (2, 2)",
+        ])
 
 
 class TestNodeAndEdgeInvariants:

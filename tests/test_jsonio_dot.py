@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from conftest import cycle_syndrome, random_digraph
 from diagkit.dot import graph_to_dot, temporal_to_dot
 from diagkit.errors import SyndromeError
-from diagkit.graph import DiagnosticGraph, Edge, EdgeKind, Node, Syndrome
+from diagkit.graph import DiagnosticGraph, Edge, EdgeKind, Node, Syndrome, as_fraction
 from diagkit.jsonio import (
     dump_json,
-    fraction_from_json,
     fraction_to_json,
     graph_from_dict,
     graph_to_dict,
@@ -89,11 +88,11 @@ class TestFractionJson:
 
     def test_non_decimal_becomes_ratio_string(self):
         assert fraction_to_json(Fraction(1, 3)) == "1/3"
-        assert fraction_from_json("1/3") == Fraction(1, 3)
+        assert as_fraction("1/3") == Fraction(1, 3)
 
     def test_round_trip(self):
         for value in (Fraction(1, 3), Fraction(1, 50), Fraction(7, 2), Fraction(5)):
-            assert fraction_from_json(fraction_to_json(value)) == value
+            assert as_fraction(fraction_to_json(value)) == value
 
 
 class TestSyndromeJson:

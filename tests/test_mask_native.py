@@ -18,7 +18,7 @@ import pytest
 
 from diagkit.cli import main
 from diagkit.diagnosability import common_syndrome
-from diagkit.errors import SyndromeError
+from diagkit.errors import GraphError, SyndromeError
 from diagkit.graph import DiagnosticGraph, Syndrome, failed_masks
 from diagkit.jsonio import (
     dump_json,
@@ -94,7 +94,6 @@ class TestFlatGraphFromMasks:
                 assert {e.pair for e in flat.edges} == {e.pair for e in expected.edges}
                 assert flat.tester_masks == expected.tester_masks
                 assert flat.in_degrees == expected.in_degrees
-                assert flat.violations == ()
                 assert view.edges == tuple(
                     (view.vertex_of(edge.tester), view.vertex_of(edge.testee))
                     for edge in expected.edges
@@ -112,9 +111,10 @@ class TestFlatGraphFromMasks:
         rebuilt = DiagnosticGraph.build(flat.nodes, flat.edges)
         assert rebuilt == flat and hash(rebuilt) == hash(flat)
         assert repr(rebuilt) == repr(flat)
-        broken = DiagnosticGraph(flat.nodes, flat.edges + flat.edges[:1])
-        assert broken.violations == (
-            f"duplicate edge: ({flat.edges[0].tester}, {flat.edges[0].testee})",
+        with pytest.raises(GraphError) as raised:
+            DiagnosticGraph(flat.nodes, flat.edges + flat.edges[:1])
+        assert str(raised.value) == (
+            f"duplicate edge: ({flat.edges[0].tester}, {flat.edges[0].testee})"
         )
 
     def test_views_are_frozen_and_pickle_by_value(self):

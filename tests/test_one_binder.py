@@ -301,7 +301,6 @@ class TestGeneratedSyndromes:
         compared, most_free = 0, 0
         while compared < 60:
             graph = random_digraph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.6))
-            graph.require_valid()
             size = rng.randint(0, min(2, graph.n))
             faults = frozenset(rng.sample(graph.node_ids, size))
             free = sum(edge.tester in faults for edge in graph.edges)

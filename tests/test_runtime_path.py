@@ -9,14 +9,15 @@ the tests hold the fast forms to them, messages and orders included.
 import random
 from fractions import Fraction
 
-from diagkit.errors import SyndromeError
+import pytest
+
+from diagkit.errors import GraphError, SyndromeError
 from diagkit.graph import (
     DiagnosticGraph,
     Edge,
     EdgeKind,
     Node,
     Syndrome,
-    validate,
 )
 from diagkit.identification import (
     NodeStatus,
@@ -85,15 +86,17 @@ def literal_flat_graph(temporal):
     return DiagnosticGraph.build(nodes, edges)
 
 
-def literal_violations(graph):
+def literal_violations(nodes, edges):
+    nodes = sorted(nodes, key=lambda node: node.id)
+    edges = sorted(edges, key=lambda edge: edge.pair)
     found = []
     seen_ids = set()
-    for node in graph.nodes:
+    for node in nodes:
         if node.id in seen_ids:
             found.append(f"duplicate node id: {node.id}")
         seen_ids.add(node.id)
     seen_pairs = set()
-    for edge in graph.edges:
+    for edge in edges:
         if edge.tester == edge.testee:
             found.append(f"self-loop: edge ({edge.tester}, {edge.testee})")
         if edge.pair in seen_pairs:
@@ -290,6 +293,7 @@ class TestFlatGraphMatchesLiteral:
 class TestValidationMatchesLiteral:
     def test_violations_on_malformed_graphs(self):
         rng = random.Random(5)
+        seen = {"malformed": 0, "clean": 0}
         for _ in range(300):
             ids = [rng.randint(0, 8) for _ in range(rng.randint(0, 7))]
             nodes = tuple(Node(nid) for nid in ids)
@@ -297,9 +301,20 @@ class TestValidationMatchesLiteral:
                 Edge(rng.randint(0, 10), rng.randint(0, 10))
                 for _ in range(rng.randint(0, 12))
             )
-            graph = DiagnosticGraph(nodes, edges)
-            assert graph.violations == literal_violations(graph)
-            assert validate(graph) == list(literal_violations(graph))
+            found = literal_violations(nodes, edges)
+            if found:
+                seen["malformed"] += 1
+                with pytest.raises(GraphError) as raised:
+                    DiagnosticGraph(nodes, edges)
+                assert str(raised.value) == "; ".join(found)
+            else:
+                seen["clean"] += 1
+                graph = DiagnosticGraph(nodes, edges)
+                order = graph.node_ids
+                assert order == tuple(sorted(ids))
+                pairs = [(order[u], order[v]) for u, v in graph.position_pairs()]
+                assert pairs == sorted(edge.pair for edge in edges)
+        assert all(seen.values()), seen
 
     def test_require_total_messages(self):
         rng = random.Random(7)

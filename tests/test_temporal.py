@@ -183,7 +183,6 @@ class TestFrequencySubgraph:
     def test_above_everything_is_empty_but_valid(self, localization):
         sub = frequency_subgraph(localization, 1000)
         assert sub.n == 0
-        assert sub.violations == ()
 
     def test_missing_frequencies_rejected(self, five_cycle):
         with pytest.raises(GraphError, match="missing frequencies"):
