@@ -3,12 +3,13 @@
 The exact search branches on the lowest undecided module: it is either
 faulty, or fault-free, in which case every outcome it reported is taken at
 face value (unit propagation).  Outcomes are kept as bitmask rows per
-tester, so trusting a tester applies its whole row at once: the modules it
-failed become faulty, the modules it passed become trusted in turn, and a
-module that ends up on both sides kills the branch.  Branches also die once
-more than t modules are assumed faulty, so the search is exact for every t
-and fast for the small budgets these graphs call for.  The search keeps its
-branches on an explicit stack, so graph size meets no recursion limit.
+tester, and trusting modules applies their whole rows at once, a round at
+a time: the modules they failed become faulty, the modules they passed
+are trusted in the next round, and a module that ends up on both sides
+kills the branch.  Branches also die once more than t modules are
+assumed faulty, so the search is exact for every t and fast for the small
+budgets these graphs call for.  The search keeps its branches on an
+explicit stack, so graph size meets no recursion limit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Hashable, Mapping, Sequence
 
 from .errors import SizeCapError
 from .graph import (
@@ -42,6 +43,10 @@ class NodeStatus(Enum):
     KNOWN_FAULTY = "known_faulty"
     KNOWN_FAULT_FREE = "known_fault_free"
     UNKNOWN = "unknown"
+
+
+# A dict look-up is cheaper than an Enum's ``value`` property.
+_STATUS_VALUES = {status: status.value for status in NodeStatus}
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,10 @@ class StatusReport:
     verdict: DiagnosisVerdict
 
     def to_json_dict(self) -> dict:
-        return {str(nid): status.value for nid, status in sorted(self.statuses.items())}
+        return {
+            str(nid): _STATUS_VALUES[status]
+            for nid, status in sorted(self.statuses.items())
+        }
 
 
 def _require_inputs(graph: DiagnosticGraph, syndrome: Syndrome, t: object) -> tuple:
@@ -100,21 +108,23 @@ def _candidate_masks(graph: DiagnosticGraph, syndrome: Syndrome, t: int) -> list
     passed = [out & ~flagged for out, flagged in zip(graph.out_masks, failed)]
 
     def propagate(in_mask: int, out_mask: int, pending: int) -> tuple[int, int] | None:
-        """Trust every tester in ``pending`` and apply its row; None on conflict."""
+        """Trust every tester in ``pending``, one round at a time: apply the
+        rows of a round's testers together, and trust the testees they pass
+        next.  None once a module is on both sides or more than t are faulty.
+        """
         while pending:
-            low = pending & -pending
-            pending ^= low
-            tester = low.bit_length() - 1
-            flagged, cleared = failed[tester], passed[tester]
-            if flagged & out_mask or cleared & in_mask:
+            flagged = cleared = 0
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                tester = low.bit_length() - 1
+                flagged |= failed[tester]
+                cleared |= passed[tester]
+            in_mask |= flagged
+            pending = cleared & ~out_mask
+            out_mask |= cleared
+            if in_mask & out_mask or in_mask.bit_count() > t:
                 return None
-            if flagged & ~in_mask:
-                in_mask |= flagged
-                if in_mask.bit_count() > t:
-                    return None
-            fresh = cleared & ~out_mask
-            out_mask |= fresh
-            pending |= fresh
         return in_mask, out_mask
 
     found: list[int] = []
@@ -219,6 +229,15 @@ def all_consistent_fault_sets(
     ]
 
 
+def _spread(masks: list[int]) -> tuple[int, int]:
+    """The bits every mask holds and the bits some mask holds; masks nonempty."""
+    everywhere = anywhere = masks[0]
+    for mask in masks:
+        everywhere &= mask
+        anywhere |= mask
+    return everywhere, anywhere
+
+
 def _group_statuses(masks: list[int], groups: list[int]) -> list[NodeStatus]:
     """Status of each group of bits across the candidate masks.
 
@@ -229,10 +248,7 @@ def _group_statuses(masks: list[int], groups: list[int]) -> list[NodeStatus]:
     """
     if not masks:
         return [NodeStatus.UNKNOWN for _ in groups]
-    everywhere = anywhere = masks[0]
-    for mask in masks:
-        everywhere &= mask
-        anywhere |= mask
+    everywhere, anywhere = _spread(masks)
     statuses = []
     for group in groups:
         if everywhere & group == group:
@@ -241,6 +257,25 @@ def _group_statuses(masks: list[int], groups: list[int]) -> list[NodeStatus]:
             statuses.append(NodeStatus.UNKNOWN)
         else:
             statuses.append(NodeStatus.KNOWN_FAULT_FREE)
+    return statuses
+
+
+def _bit_statuses(masks: list[int], keys: Sequence[Hashable]) -> dict:
+    """Status of each bit position p across the candidate masks, keyed by
+    ``keys[p]``: known-faulty when every candidate holds it, known
+    fault-free when none does, unknown otherwise, and unknown throughout
+    with no candidate.  Only the bits some candidate holds are visited.
+    """
+    if not masks:
+        return dict.fromkeys(keys, NodeStatus.UNKNOWN)
+    statuses = dict.fromkeys(keys, NodeStatus.KNOWN_FAULT_FREE)
+    everywhere, anywhere = _spread(masks)
+    while anywhere:
+        low = anywhere & -anywhere
+        anywhere ^= low
+        statuses[keys[low.bit_length() - 1]] = (
+            NodeStatus.KNOWN_FAULTY if everywhere & low else NodeStatus.UNKNOWN
+        )
     return statuses
 
 
@@ -259,6 +294,5 @@ def node_status(
     """
     masks = _candidate_masks(graph, syndrome, t)
     verdict = _verdict_from_masks(graph, masks, t, candidate_limit)
-    bits = [1 << pos for pos in range(graph.n)]
-    statuses = dict(zip(graph.node_ids, _group_statuses(masks, bits)))
+    statuses = _bit_statuses(masks, graph.node_ids)
     return StatusReport(statuses=MappingProxyType(statuses), verdict=verdict)

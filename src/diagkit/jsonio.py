@@ -117,9 +117,17 @@ def graph_from_dict(data: dict) -> DiagnosticGraph:
 
 
 def syndrome_to_dict(syndrome: Syndrome) -> dict:
-    """``{"outcomes": [[tester, testee, value], ...]}``, rows by (tester, testee)."""
-    rows = [[*pair, value] for pair, value in syndrome.outcomes.items()]
-    rows.sort()
+    """``{"outcomes": [[tester, testee, value], ...]}``, rows by (tester, testee).
+
+    A syndrome held as masks is written straight from them in edge order,
+    which is (tester, testee) order because positions ascend with ids.
+    """
+    graph = syndrome._graph
+    if graph is None:
+        rows = sorted([*pair, value] for pair, value in syndrome.outcomes.items())
+    else:
+        ids, failed = graph.node_ids, syndrome._failed
+        rows = [[ids[u], ids[v], failed[u] >> v & 1] for u, v in graph.position_pairs()]
     return {"outcomes": rows}
 
 
@@ -148,7 +156,7 @@ def _outcome_ids(row: object, tester: object, testee: object) -> tuple[int, int]
 
 
 def syndrome_from_dict(data: dict, graph: DiagnosticGraph | None = None) -> Syndrome:
-    """Read a syndrome document in one pass over its rows.
+    """Read a syndrome document.
 
     A row is a ``[tester, testee, value]`` array (what
     :func:`syndrome_to_dict` writes) or a ``{"tester", "testee", "value"}``
@@ -156,13 +164,81 @@ def syndrome_from_dict(data: dict, graph: DiagnosticGraph | None = None) -> Synd
     integer ``tester`` and ``testee`` ids, name its edge once and hold a
     ``value``; the first row that does not raises.  A value other than 0
     or 1, and then (with ``graph``) rows for edges the graph lacks or edges
-    without a row, are reported once the pass is done, with the messages of
-    :class:`Syndrome` and :func:`~diagkit.graph.failed_masks`.  With
-    ``graph``, the rows go straight into per-tester failed masks.
+    without a row, are reported once all rows are read, with the messages
+    of :class:`Syndrome` and :func:`~diagkit.graph.failed_masks`.
+
+    With ``graph``, the rows go straight into per-tester failed masks.
+    Rows exactly as :func:`syndrome_to_dict` writes them are read by a
+    strict pass (:func:`_edge_order_masks`); every other document, valid
+    or not, is read by the general pass (:func:`_read_rows`), the only one
+    that reports errors.
     """
     rows = data.get("outcomes") if isinstance(data, dict) else None
     if not isinstance(rows, (list, tuple)):
         raise ValueError("syndrome document must have an 'outcomes' list")
+    if graph is not None:
+        failed = _edge_order_masks(rows, graph)
+        if failed is not None:
+            return Syndrome._from_masks(graph, failed)
+    return _read_rows(rows, graph)
+
+
+def _edge_order_masks(rows: list | tuple, graph: DiagnosticGraph) -> list[int] | None:
+    """The failed masks of ``rows`` if they are ``graph``'s edges in edge order.
+
+    Each row must be a list of three ints: a tester id, a testee id and a
+    value of 0 or 1.  The rows of one tester must be consecutive, testers
+    must come by rising position and, within a tester, testees too; so the
+    key ``u * n + v`` of the rows' positions rises strictly.  The testees
+    seen per tester must be the graph's ``out_masks``.  Anything else gives
+    None.
+    """
+    get = dict(graph.positions).get
+    out = graph.out_masks
+    n = len(out)
+    bits = [1 << v for v in range(n)]
+    seen = [0] * n
+    failed = [0] * n
+    u = last = -1  # the positions of the current tester and its last testee
+    current = None  # the id of the current tester
+    have = flagged = 0  # the current tester's testees so far, and those failed
+    for row in rows:
+        if row.__class__ is not list:
+            return None
+        try:
+            tester, testee, value = row
+        except ValueError:
+            return None
+        if (
+            tester.__class__ is not int
+            or testee.__class__ is not int
+            or value.__class__ is not int
+        ):
+            return None
+        if tester != current:
+            if u >= 0:
+                seen[u], failed[u] = have, flagged
+            p = get(tester)
+            if p is None or p <= u:
+                return None
+            u, current, have, flagged, last = p, tester, 0, 0, -1
+        v = get(testee)
+        if v is None or v <= last:
+            return None
+        last = v
+        bit = bits[v]
+        have |= bit
+        if value == 1:
+            flagged |= bit
+        elif value:
+            return None
+    if u >= 0:
+        seen[u], failed[u] = have, flagged
+    return failed if seen == list(out) else None
+
+
+def _read_rows(rows: list | tuple, graph: DiagnosticGraph | None) -> Syndrome:
+    """The general pass of :func:`syndrome_from_dict`: any rows, in one pass."""
     # A dict copy of the positions: its get is faster than the read-only view's.
     pos = dict(graph.positions) if graph is not None else {}
     out = graph.out_masks if graph is not None else ()

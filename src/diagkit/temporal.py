@@ -48,7 +48,12 @@ from .graph import (
     failed_masks,
     fraction_to_json,
 )
-from .identification import NodeStatus, _candidate_masks, _group_statuses
+from .identification import (
+    NodeStatus,
+    _bit_statuses,
+    _candidate_masks,
+    _group_statuses,
+)
 
 
 @dataclass(frozen=True)
@@ -457,10 +462,7 @@ def audit(
 
         vertex_statuses = None
         if include_vertices:
-            bits = [1 << flat_id for flat_id in range(flat.n)]
-            vertex_statuses = MappingProxyType(
-                dict(zip(sub.vertices, _group_statuses(masks, bits)))
-            )
+            vertex_statuses = MappingProxyType(_bit_statuses(masks, sub.vertices))
 
         results.append(
             WindowAudit(

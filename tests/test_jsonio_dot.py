@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from conftest import cycle_syndrome, random_digraph
 from diagkit.dot import graph_to_dot, temporal_to_dot
 from diagkit.errors import SyndromeError
-from diagkit.graph import DiagnosticGraph, Edge, EdgeKind, Node, Syndrome, as_fraction
+from diagkit.graph import (
+    DiagnosticGraph,
+    Edge,
+    EdgeKind,
+    Node,
+    Syndrome,
+    as_fraction,
+    failed_masks,
+)
 from diagkit.jsonio import (
     dump_json,
     fraction_to_json,
@@ -105,6 +113,14 @@ class TestSyndromeJson:
         doc = syndrome_to_dict(Syndrome({(5, 1): 1, (1, 2): 0}))
         assert doc == {"outcomes": [[1, 2, 0], [5, 1, 1]]}
         assert dump_json(doc) == '{"outcomes":[[1,2,0],[5,1,1]]}\n'
+
+    def test_a_bound_syndrome_is_written_from_its_masks(self, five_cycle):
+        syndrome = Syndrome({(5, 1): 1, (3, 4): 0, (1, 2): 1, (4, 5): 0, (2, 3): 0})
+        unbound = syndrome_to_dict(syndrome)
+        failed_masks(five_cycle, syndrome)
+        assert syndrome._graph is five_cycle
+        assert syndrome_to_dict(syndrome) == unbound
+        assert unbound["outcomes"][0] == [1, 2, 1]
 
     @staticmethod
     def last_row_error(graph, row):

@@ -18,6 +18,7 @@ from diagkit.graph import (
     EdgeKind,
     Node,
     Syndrome,
+    failed_masks,
 )
 from diagkit.identification import (
     NodeStatus,
@@ -27,7 +28,7 @@ from diagkit.identification import (
     node_status,
 )
 from diagkit.jsonio import syndrome_from_dict
-from diagkit.simulator import bernoulli, generate_syndrome, scenario
+from diagkit.simulator import adversarial, bernoulli, generate_syndrome, scenario
 from diagkit.temporal import Interval, TemporalTemplate, expand, restrict
 
 BASE_KINDS = [kind for kind in EdgeKind if kind is not EdgeKind.TEMPORAL]
@@ -196,6 +197,48 @@ def literal_syndrome_from_dict(data, graph=None):
     if graph is not None:
         literal_require_total(normalized, graph)
     return normalized
+
+
+def literal_candidate_masks(graph, syndrome, t):
+    """The search with its earlier flood, which trusts one tester at a time."""
+    failed = failed_masks(graph, syndrome)
+    full = (1 << graph.n) - 1
+    passed = [out & ~flagged for out, flagged in zip(graph.out_masks, failed)]
+
+    def propagate(in_mask, out_mask, pending):
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            tester = low.bit_length() - 1
+            flagged, cleared = failed[tester], passed[tester]
+            if flagged & out_mask or cleared & in_mask:
+                return None
+            if flagged & ~in_mask:
+                in_mask |= flagged
+                if in_mask.bit_count() > t:
+                    return None
+            fresh = cleared & ~out_mask
+            out_mask |= fresh
+            pending |= fresh
+        return in_mask, out_mask
+
+    found = []
+    stack = [(0, 0)]
+    while stack:
+        in_mask, out_mask = stack.pop()
+        undecided = full & ~(in_mask | out_mask)
+        if not undecided:
+            found.append(in_mask)
+            continue
+        low = undecided & -undecided
+        grown = in_mask | low
+        if grown.bit_count() <= t:
+            stack.append((grown, out_mask))
+        state = propagate(in_mask, out_mask | low, low)
+        if state is not None:
+            stack.append(state)
+    found.sort(key=lambda mask: (mask.bit_count(), graph.id_tuple(mask)))
+    return found
 
 
 def outcome_of(call, *args):
@@ -450,6 +493,58 @@ class TestIdentificationOnExpansions:
         verdict = identify(graph, Syndrome({}), 0)
         assert verdict.kind is VerdictKind.UNIQUE
         assert verdict.fault_set == frozenset()
+
+    def test_round_flood_matches_the_per_tester_flood_on_a_recording(self):
+        # The brute-force referee cannot run on 1,111 vertices; the earlier
+        # per-tester flood can.  The adversarial policy is capped at 14
+        # vertices, so its syndrome is drawn on the first pane (vertices
+        # 0-10) and written over the rows of a Bernoulli syndrome there.
+        recording = expand(
+            scenario("localization").graph,
+            100,
+            Interval(0, 1),
+            TemporalTemplate(offsets=frozenset({1, 2}), bidirectional=True),
+        )
+        flat = recording.flat_graph
+        pane = restrict(recording, Interval(0, 0)).flat_graph
+        assert pane.node_ids == flat.node_ids[: pane.n]
+        inside = (1 << pane.n) - 1
+        assert pane.out_masks == tuple(row & inside for row in flat.out_masks[: pane.n])
+        # The testers of a vertex with four, all faulty, make it unknown at t = 5.
+        cut_off = [mask for mask in flat.tester_masks if mask.bit_count() == 4]
+        rng = random.Random(29)
+        kinds = {"unique": 0, "ambiguous": 0, "inconsistent": 0}
+        for source in ("bernoulli", "adversarial", "uniform"):
+            for k in range(4):
+                if k < 2:
+                    faults = sorted(flat.ids_of(rng.choice(cut_off)))
+                else:
+                    faults = rng.sample(flat.node_ids, rng.randint(0, 6))
+                seed = rng.getrandbits(32)
+                if source == "adversarial":
+                    framed = rng.sample(pane.node_ids, rng.randint(1, 2))
+                    faults = [nid for nid in faults if nid >= pane.n] + framed
+                failed = list(generate_syndrome(flat, faults, bernoulli(0.5), seed)._failed)
+                if source == "adversarial":
+                    window = generate_syndrome(pane, framed, adversarial(2))
+                    for u, row in enumerate(window._failed):
+                        failed[u] = failed[u] & ~inside | row
+                elif source == "uniform":
+                    failed = [out & rng.getrandbits(flat.n) for out in flat.out_masks]
+                syndrome = Syndrome._from_masks(flat, failed)
+                for t in range(6):
+                    want = [
+                        flat.ids_of(mask)
+                        for mask in literal_candidate_masks(flat, syndrome, t)
+                    ]
+                    verdict = identify(flat, syndrome, t, candidate_limit=1 << 20)
+                    assert list(verdict.candidates) == want
+                    assert verdict.candidate_count == len(want)
+                    kinds[verdict.kind.value] += 1
+                    report = node_status(flat, syndrome, t)
+                    assert dict(report.statuses) == statuses_from(flat, want)
+                    assert report.verdict == identify(flat, syndrome, t)
+        assert min(kinds.values()) > 1, kinds
 
     def test_ten_second_recording(self):
         recording = expand(
