@@ -17,7 +17,7 @@ pure function, so everything is safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
@@ -272,13 +272,24 @@ class DiagnosticGraph(_Frozen):
         return len(self.node_ids)
 
     @cached_property
-    def node_by_id(self) -> Mapping[NodeId, Node]:
-        return MappingProxyType({node.id: node for node in self.nodes})
-
-    @cached_property
     def positions(self) -> Mapping[NodeId, int]:
         """Dense position of each node id, in ascending id order."""
         return MappingProxyType({nid: pos for pos, nid in enumerate(self.node_ids)})
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The sha256 hex digest of the node ids and edges, and nothing else.
+
+        Labels, edge kinds and rates are left out.  The ids, a semicolon and
+        the ``out_masks`` are hashed as lowercase hex numbers, each followed
+        by a comma, so the digest is the same in every process and Python
+        version.  Syndrome files name their graph by it.
+        """
+        row = b"%x," * self.n
+        digest = hashlib.sha256(row % self.node_ids)
+        digest.update(b";")
+        digest.update(row % self.out_masks)
+        return digest.hexdigest()
 
     # -- bitmask adjacency ------------------------------------------------
 
@@ -375,11 +386,13 @@ class Syndrome(_Frozen):
     """
 
     # Set on mask-held syndromes: the graph, per tester position the testees
-    # it failed, and the (tester, testee) positions in reading order.  A
-    # syndrome built from outcomes gets the first two from its first binding.
+    # it failed, the (tester, testee) positions in reading order, and
+    # ``_held``, which makes it written as its failed tests.  A syndrome
+    # built from outcomes gets the first two from its first binding only.
     _graph: DiagnosticGraph | None = None
     _failed: tuple[int, ...] = ()
     _order: Sequence[tuple[int, int]] | None = None
+    _held = False
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -415,7 +428,9 @@ class Syndrome(_Frozen):
         the order ``outcomes`` should have; by default it is edge order.
         """
         syndrome = cls.__new__(cls)
-        vars(syndrome).update(_graph=graph, _failed=tuple(failed), _order=order)
+        vars(syndrome).update(
+            _graph=graph, _failed=tuple(failed), _order=order, _held=True
+        )
         return syndrome
 
     @cached_property
@@ -621,13 +636,3 @@ def pmc_fits(out_masks: Sequence[int], failed: Sequence[int], fault_mask: int) -
             return False
         bit <<= 1
     return True
-
-
-def iter_subsets(
-    ids: Sequence[NodeId], max_size: int
-) -> Iterator[tuple[NodeId, ...]]:
-    """All subsets of ``ids`` up to ``max_size``, by size then lexicographic."""
-    ordered = sorted(ids)
-    top = min(max_size, len(ordered))
-    for size in range(top + 1):
-        yield from itertools.combinations(ordered, size)

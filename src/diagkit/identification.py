@@ -45,10 +45,6 @@ class NodeStatus(Enum):
     UNKNOWN = "unknown"
 
 
-# A dict look-up is cheaper than an Enum's ``value`` property.
-_STATUS_VALUES = {status: status.value for status in NodeStatus}
-
-
 @dataclass(frozen=True)
 class DiagnosisVerdict:
     """What a syndrome says at fault budget t.
@@ -87,9 +83,9 @@ class StatusReport:
     verdict: DiagnosisVerdict
 
     def to_json_dict(self) -> dict:
+        # ``_value_`` is a plain attribute; ``value`` is a property.
         return {
-            str(nid): _STATUS_VALUES[status]
-            for nid, status in sorted(self.statuses.items())
+            str(nid): status._value_ for nid, status in sorted(self.statuses.items())
         }
 
 

@@ -5,12 +5,15 @@ Graph files look like::
     {"nodes": [{"id": 1, "label": "GPS reader", "hz": 1.0}, ...],
      "edges": [{"tester": 6, "testee": 1, "kind": "input_admissibility"}, ...]}
 
-Syndrome files hold one ``[tester, testee, value]`` row per edge::
+Syndrome files list the failed tests and the fingerprint of the graph
+they were recorded against (:attr:`DiagnosticGraph.fingerprint`); every
+other test of that graph passed::
 
-    {"outcomes": [[5, 1, 1], ...]}
+    {"failed": [[5, 1], ...], "graph": "<sha256 hex>", "others": "pass"}
 
-and the earlier object rows, ``{"tester": 5, "testee": 1, "value": 1}``,
-are still read.
+Files with one ``[tester, testee, value]`` row per edge,
+``{"outcomes": [[5, 1, 1], ...]}``, and with the earlier object rows,
+``{"tester": 5, "testee": 1, "value": 1}``, are still read.
 
 Temporal graph files embed the base graph plus the expansion recipe, which
 reconstructs the expansion exactly::
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
@@ -117,18 +121,20 @@ def graph_from_dict(data: dict) -> DiagnosticGraph:
 
 
 def syndrome_to_dict(syndrome: Syndrome) -> dict:
-    """``{"outcomes": [[tester, testee, value], ...]}``, rows by (tester, testee).
+    """The failed tests of a syndrome made over a graph, or else its rows.
 
-    A syndrome held as masks is written straight from them in edge order,
-    which is (tester, testee) order because positions ascend with ids.
+    A syndrome held as masks gives ``{"failed": [[tester, testee], ...],
+    "graph": graph.fingerprint, "others": "pass"}``, pairs in edge
+    order.  One built from outcomes gives ``{"outcomes": [[tester, testee,
+    value], ...]}``, rows by (tester, testee), bound to a graph or not.
     """
     graph = syndrome._graph
-    if graph is None:
+    if graph is None or not syndrome._held:
         rows = sorted([*pair, value] for pair, value in syndrome.outcomes.items())
-    else:
-        ids, failed = graph.node_ids, syndrome._failed
-        rows = [[ids[u], ids[v], failed[u] >> v & 1] for u, v in graph.position_pairs()]
-    return {"outcomes": rows}
+        return {"outcomes": rows}
+    ids = graph.node_ids
+    failed = [[ids[u], ids[v]] for u, v in mask_pairs(syndrome._failed)]
+    return {"failed": failed, "graph": graph.fingerprint, "others": "pass"}
 
 
 _NO_VALUE = object()  # an object row without a "value"
@@ -156,85 +162,64 @@ def _outcome_ids(row: object, tester: object, testee: object) -> tuple[int, int]
 
 
 def syndrome_from_dict(data: dict, graph: DiagnosticGraph | None = None) -> Syndrome:
-    """Read a syndrome document.
+    """Read a syndrome document: its failed tests over ``graph``, or its rows.
 
-    A row is a ``[tester, testee, value]`` array (what
-    :func:`syndrome_to_dict` writes) or a ``{"tester", "testee", "value"}``
-    object (the earlier format); the two may be mixed.  Each row must have
-    integer ``tester`` and ``testee`` ids, name its edge once and hold a
-    ``value``; the first row that does not raises.  A value other than 0
-    or 1, and then (with ``graph``) rows for edges the graph lacks or edges
-    without a row, are reported once all rows are read, with the messages
-    of :class:`Syndrome` and :func:`~diagkit.graph.failed_masks`.
-
-    With ``graph``, the rows go straight into per-tester failed masks.
-    Rows exactly as :func:`syndrome_to_dict` writes them are read by a
-    strict pass (:func:`_edge_order_masks`); every other document, valid
-    or not, is read by the general pass (:func:`_read_rows`), the only one
-    that reports errors.
+    The README's "Syndrome JSON" gives both shapes and what each refuses.
     """
+    if isinstance(data, dict) and "failed" in data:
+        return _read_failed(data, graph)
     rows = data.get("outcomes") if isinstance(data, dict) else None
     if not isinstance(rows, (list, tuple)):
         raise ValueError("syndrome document must have an 'outcomes' list")
-    if graph is not None:
-        failed = _edge_order_masks(rows, graph)
-        if failed is not None:
-            return Syndrome._from_masks(graph, failed)
     return _read_rows(rows, graph)
 
 
-def _edge_order_masks(rows: list | tuple, graph: DiagnosticGraph) -> list[int] | None:
-    """The failed masks of ``rows`` if they are ``graph``'s edges in edge order.
-
-    Each row must be a list of three ints: a tester id, a testee id and a
-    value of 0 or 1.  The rows of one tester must be consecutive, testers
-    must come by rising position and, within a tester, testees too; so the
-    key ``u * n + v`` of the rows' positions rises strictly.  The testees
-    seen per tester must be the graph's ``out_masks``.  Anything else gives
-    None.
-    """
-    get = dict(graph.positions).get
-    out = graph.out_masks
-    n = len(out)
-    bits = [1 << v for v in range(n)]
-    seen = [0] * n
+def _read_failed(data: dict, graph: DiagnosticGraph | None) -> Syndrome:
+    """The syndrome over ``graph`` that fails the listed tests and passes the rest."""
+    if graph is None:
+        raise ValueError("a syndrome document of failed tests needs its graph to read")
+    if "outcomes" in data:
+        raise ValueError("syndrome document has both 'failed' and 'outcomes'")
+    if data.get("others") != "pass":
+        raise ValueError(
+            "syndrome document with 'failed' must have \"others\": \"pass\", "
+            f"got {data.get('others')!r}"
+        )
+    fingerprint = graph.fingerprint
+    if data.get("graph") != fingerprint:
+        raise SyndromeError(
+            "syndrome was recorded against another graph: its 'graph' is "
+            f"{data.get('graph')!r}, this graph's fingerprint {fingerprint!r}"
+        )
+    pairs = data["failed"]
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(
+            f"'failed' must be a list of [tester, testee] pairs, got {pairs!r}"
+        )
+    # Ids are found by bisection: building ``positions`` costs more than
+    # reading the few pairs.
+    ids, out = graph.node_ids, graph.out_masks
+    n = len(ids)
     failed = [0] * n
-    u = last = -1  # the positions of the current tester and its last testee
-    current = None  # the id of the current tester
-    have = flagged = 0  # the current tester's testees so far, and those failed
-    for row in rows:
-        if row.__class__ is not list:
-            return None
-        try:
-            tester, testee, value = row
-        except ValueError:
-            return None
-        if (
-            tester.__class__ is not int
-            or testee.__class__ is not int
-            or value.__class__ is not int
-        ):
-            return None
-        if tester != current:
-            if u >= 0:
-                seen[u], failed[u] = have, flagged
-            p = get(tester)
-            if p is None or p <= u:
-                return None
-            u, current, have, flagged, last = p, tester, 0, 0, -1
-        v = get(testee)
-        if v is None or v <= last:
-            return None
-        last = v
-        bit = bits[v]
-        have |= bit
-        if value == 1:
-            flagged |= bit
-        elif value:
-            return None
-    if u >= 0:
-        seen[u], failed[u] = have, flagged
-    return failed if seen == list(out) else None
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(
+                f"each failed test must be a [tester, testee] pair, got {pair!r}"
+            )
+        tester, testee = map(as_integer, pair)
+        if tester is None or testee is None:
+            raise ValueError(f"failed test {pair!r} must name two integer ids")
+        u, v = bisect_left(ids, tester), bisect_left(ids, testee)
+        known = u < n and v < n and ids[u] == tester and ids[v] == testee
+        if not (known and out[u] >> v & 1):
+            raise SyndromeError(
+                f"failed test ({tester}, {testee}) is no edge of the graph"
+            )
+        bit = 1 << v
+        if failed[u] & bit:
+            raise SyndromeError(f"duplicate failed test ({tester}, {testee})")
+        failed[u] |= bit
+    return Syndrome._from_masks(graph, failed)
 
 
 def _read_rows(rows: list | tuple, graph: DiagnosticGraph | None) -> Syndrome:

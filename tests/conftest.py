@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -17,6 +19,13 @@ CYCLE_PAIRS = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
 def cycle_syndrome(*values: int) -> Syndrome:
     assert len(values) == 5
     return Syndrome(dict(zip(CYCLE_PAIRS, values)))
+
+
+def iter_subsets(ids: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]]:
+    """All subsets of ``ids`` up to ``max_size``, by size then lexicographic."""
+    ordered = sorted(ids)
+    for size in range(min(max_size, len(ordered)) + 1):
+        yield from itertools.combinations(ordered, size)
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> DiagnosticGraph:

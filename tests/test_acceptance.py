@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cycle_syndrome, random_digraph
+from conftest import cycle_syndrome, iter_subsets, random_digraph
 from diagkit.cli import main as cli_main
 from diagkit.diagnosability import (
     is_t_diagnosable,
@@ -25,7 +25,6 @@ from diagkit.graph import (
     Edge,
     Node,
     Syndrome,
-    iter_subsets,
     min_in_degree,
     pmc_compatible,
     testable_set,

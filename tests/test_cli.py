@@ -90,10 +90,13 @@ class TestIdentify:
         assert doc["statuses"]["1"] == "known_faulty"
 
     def test_syndrome_file_is_compact_array_rows(self, capsys, tmp_path):
+        # The failed tests as [tester, testee] arrays; every other test passed.
         syn = tmp_path / "s.json"
         assert main(["simulate", "five_cycle", "--faults", "1", "--out", str(syn)]) == 0
-        rows = "[1,2,0],[2,3,0],[3,4,0],[4,5,0],[5,1,1]"
-        assert syn.read_text() == '{"outcomes":[' + rows + ']}\n'
+        fingerprint = scenario("five_cycle").graph.fingerprint
+        assert syn.read_text() == (
+            '{"failed":[[5,1]],"graph":"' + fingerprint + '","others":"pass"}\n'
+        )
 
     def test_human_output_builds_no_json_document(
         self, capsys, tmp_path, monkeypatch
@@ -143,8 +146,8 @@ class TestSimulate:
         code, doc, _ = run_json(capsys, "simulate", "five_cycle", "--faults", "")
         assert code == 0
         assert doc["faults"] == []
-        rows = doc["syndrome"]["outcomes"]
-        assert len(rows) == 5 and all(value == 0 for _, _, value in rows)
+        assert doc["syndrome"]["failed"] == []
+        assert doc["syndrome"]["others"] == "pass"
 
     def test_deterministic_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -180,8 +183,9 @@ class TestSimulate:
     def test_json_stdout_is_the_canonical_rendering(self, capsys):
         code, out, _ = run(capsys, "simulate", "five_cycle", "--faults", "1", "--json")
         assert code == 0
-        rows = "[1,2,0],[2,3,0],[3,4,0],[4,5,0],[5,1,1]"
-        assert out == '{"faults":[1],"syndrome":{"outcomes":[' + rows + ']}}\n'
+        fingerprint = scenario("five_cycle").graph.fingerprint
+        syndrome = '{"failed":[[5,1]],"graph":"' + fingerprint + '","others":"pass"}'
+        assert out == '{"faults":[1],"syndrome":' + syndrome + "}\n"
         assert out == dump_json(json.loads(out))
         code, out, _ = run(capsys, "simulate", "five_cycle", "--faults", "9", "--json")
         assert code == 2

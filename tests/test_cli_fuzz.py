@@ -2,7 +2,8 @@
 
 Graph, syndrome and temporal documents are drawn with ids and values that
 mix integers, floats, bools, strings and rationals such as ``"1/0"``
-(syndrome rows as ``[tester, testee, value]`` arrays or as objects), and
+(a syndrome as its failed ``[tester, testee]`` pairs with the graph's
+fingerprint, or as rows, ``[tester, testee, value]`` arrays or objects), and
 fed through ``cli.main`` for ``analyze``, ``identify``, ``expand``,
 ``profile``, ``audit`` and ``export-dot``.  Whatever the input, the exit
 code is 0, 1 or 2 and no exception escapes: exit 2 comes with an
@@ -96,6 +97,32 @@ def outcome_row(draw, tester, testee, value):
 
 
 @st.composite
+def sparse_documents(draw, pairs, fingerprint):
+    """Failed tests among ``pairs`` over the graph with ``fingerprint``, now
+    and then spoilt."""
+    failed = [list(pair) for pair in pairs if draw(st.integers(0, 3)) == 0]
+    data = {"failed": failed, "graph": fingerprint, "others": "pass"}
+    if draw(st.integers(0, 3)) == 0:
+        # One spoilt entry: a junk or repeated pair, a non-edge, a bad marker
+        # or fingerprint, or rows as well.
+        spoilt = draw(st.integers(0, 5))
+        if spoilt == 0:
+            pair = [node_id(draw), node_id(draw)]
+            failed.append(pick(draw, [pair], [[1], [1, 2, 0], 3]))
+        elif spoilt == 1 and failed:
+            failed.append(list(draw(st.sampled_from(failed))))
+        elif spoilt == 2:
+            data["others"] = draw(st.sampled_from(["fail", 0, None, "PASS"]))
+        elif spoilt == 3:
+            data["graph"] = draw(st.sampled_from(["", fingerprint[:-1], 0, None]))
+        elif spoilt == 4:
+            del data[draw(st.sampled_from(["others", "graph"]))]
+        else:
+            data["outcomes"] = []
+    return data
+
+
+@st.composite
 def syndrome_documents(draw, pairs):
     """Rows for the given (tester, testee) pairs, now and then spoilt."""
     rows = [
@@ -112,17 +139,19 @@ def syndrome_documents(draw, pairs):
     return {"outcomes": rows}
 
 
-def edge_pairs_of(document):
-    """The (tester, testee) ids a syndrome over the document's graph needs."""
+def edges_of(document):
+    """The (tester, testee) ids a syndrome over the document's graph needs,
+    and the graph's fingerprint."""
     try:
         if isinstance(document, dict) and "temporal" in document:
             graph = temporal_from_dict(document).flat_graph
         else:
             graph = graph_from_dict(document)
     except (DiagkitError, ValueError):
-        return []
+        return [], "no graph"
     ids = graph.node_ids
-    return [(ids[u], ids[v]) for u, v in graph.position_pairs()]
+    pairs = [(ids[u], ids[v]) for u, v in graph.position_pairs()]
+    return pairs, graph.fingerprint
 
 
 @st.composite
@@ -136,9 +165,12 @@ def invocations(draw, folder):
     graph_path = folder / "graph.json"
     graph_path.write_text(json.dumps(graph))
     syndrome_path = folder / "syndrome.json"
-    syndrome_path.write_text(
-        json.dumps(draw(syndrome_documents(edge_pairs_of(graph))))
-    )
+    pairs, fingerprint = edges_of(graph)
+    if draw(st.booleans()):
+        syndrome = draw(sparse_documents(pairs, fingerprint))
+    else:
+        syndrome = draw(syndrome_documents(pairs))
+    syndrome_path.write_text(json.dumps(syndrome))
     argv = [command, str(graph_path)]
     budget = pick(draw, ["0", "1", "2", "3"], ["-1", "x", "1.5"])
     if command == "analyze" and draw(st.booleans()):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CYCLE_PAIRS, cycle_syndrome, random_digraph
+from conftest import CYCLE_PAIRS, cycle_syndrome, iter_subsets, random_digraph
 from diagkit.errors import GraphError, SyndromeError
 from diagkit.graph import (
     DiagnosticGraph,
@@ -15,7 +15,6 @@ from diagkit.graph import (
     Node,
     Syndrome,
     is_consistent_fault_set,
-    iter_subsets,
     min_in_degree,
     pmc_compatible,
     testable_set,

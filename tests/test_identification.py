@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import cycle_syndrome, random_digraph
+from conftest import cycle_syndrome, iter_subsets, random_digraph
 from diagkit.diagnosability import max_diagnosability
 from diagkit.errors import SizeCapError, SyndromeError
 from diagkit.graph import (
@@ -13,7 +13,6 @@ from diagkit.graph import (
     Edge,
     Node,
     Syndrome,
-    iter_subsets,
 )
 from diagkit.identification import (
     NodeStatus,

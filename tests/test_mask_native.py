@@ -4,8 +4,7 @@ A temporal graph writes its flat graph as rows of bitmasks, and a syndrome
 read against a graph goes straight into per-tester failed masks.  Their
 ``nodes``, ``edges`` and ``outcomes`` are views built on first read.  The
 tests hold them to the literal builder and reader in
-``test_runtime_path``, values, kinds, orders and messages included, hold
-the reader's strict pass for rows in edge order to its general pass, and
+``test_runtime_path``, values, kinds, orders and messages included, and
 run an 11,011-vertex recording through the command line.
 """
 
@@ -17,7 +16,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from diagkit import jsonio
 from diagkit.cli import main
 from diagkit.diagnosability import common_syndrome
 from diagkit.errors import GraphError, SyndromeError
@@ -211,9 +209,10 @@ class TestSyndromeFromMasks:
         for _ in range(150):
             graph = random_graph(rng)
             faults = rng.sample(graph.node_ids, min(graph.n, rng.randint(0, 2)))
-            written = syndrome_to_dict(
-                generate_syndrome(graph, faults, bernoulli(0.5), seed=rng.randrange(99))
-            )["outcomes"]
+            syndrome = generate_syndrome(
+                graph, faults, bernoulli(0.5), seed=rng.randrange(99)
+            )
+            written = [[*pair, value] for pair, value in syndrome.outcomes.items()]
             if rng.random() < 0.5:
                 rng.shuffle(written)
             objects = [dict(zip(FIELDS, row)) for row in written]
@@ -249,116 +248,6 @@ class TestSyndromeFromMasks:
         assert failed_masks(five_cycle, shared) is shared._failed
         assert list(shared.outcomes) == [edge.pair for edge in five_cycle.edges]
         assert shared == Syndrome(dict(shared.outcomes))
-
-
-# ---------------------------------------------------------------------------
-# The strict pass of the reader
-# ---------------------------------------------------------------------------
-
-
-def canonical_rows(rng, graph):
-    """The rows ``syndrome_to_dict`` writes for a random syndrome over ``graph``."""
-    faults = rng.sample(graph.node_ids, min(graph.n, rng.randint(0, 2)))
-    syndrome = generate_syndrome(graph, faults, bernoulli(0.5), seed=rng.randrange(99))
-    return syndrome_to_dict(syndrome)["outcomes"]
-
-
-def non_edge(rng, graph):
-    """A (tester, testee) pair that is no edge of ``graph``."""
-    ids = graph.node_ids
-    edges = {edge.pair for edge in graph.edges}
-    pairs = [(a, b) for a in ids for b in ids if (a, b) not in edges]
-    pairs.append((ids[-1] + 1, ids[0]))  # an undeclared tester
-    return rng.choice(pairs)
-
-
-def mutated(rng, graph, rows, mutation):
-    """``rows`` with one mutation applied at a random place."""
-    rows = [list(row) for row in rows]
-    i = rng.randrange(len(rows))
-    if mutation == "swap":
-        j = rng.choice([k for k in range(len(rows)) if k != i])
-        rows[i], rows[j] = rows[j], rows[i]
-    elif mutation == "duplicate":
-        rows.insert(rng.randrange(len(rows) + 1), list(rows[i]))
-    elif mutation == "missing":
-        del rows[i]
-    elif mutation == "non-edge":
-        rows.insert(rng.randrange(len(rows) + 1), [*non_edge(rng, graph), 0])
-    elif mutation.startswith("value"):
-        rows[i][2] = {"value 2": 2, "value true": True, "value 1.0": 1.0}[mutation]
-    elif mutation == "four fields":
-        rows[i].append(0)
-    elif mutation == "object row":
-        rows[i] = dict(zip(FIELDS, rows[i]))
-    return rows
-
-
-def read_state(outcome):
-    """What a read gave: its masks, ``_order`` and outcomes, or its error."""
-    if outcome[0] != "ok":
-        return outcome
-    syndrome = outcome[1]
-    return syndrome._failed, syndrome._order, list(syndrome.outcomes.items())
-
-
-MUTATIONS = (
-    "swap",
-    "duplicate",
-    "missing",
-    "non-edge",
-    "value 2",
-    "value true",
-    "value 1.0",
-    "four fields",
-    "object row",
-)
-
-
-def refuse(rows, graph):
-    raise AssertionError("rows in edge order reached the general pass")
-
-
-class TestStrictPass:
-    def test_rows_in_edge_order_skip_the_general_pass(self, monkeypatch):
-        rng = random.Random(53)
-        graphs = [random_graph(rng) for _ in range(100)]
-        graphs.append(DiagnosticGraph.build([], []))
-        graphs.append(
-            expand(
-                scenario("localization").graph,
-                100,
-                Interval(0, 1),
-                TemporalTemplate(offsets=frozenset({1, 2}), bidirectional=True),
-            ).flat_graph
-        )
-        for graph in graphs:
-            data = {"outcomes": canonical_rows(rng, graph)}
-            want = jsonio._read_rows(data["outcomes"], graph)
-            with monkeypatch.context() as patch:
-                patch.setattr(jsonio, "_read_rows", refuse)
-                got = syndrome_from_dict(data, graph)
-            assert got._order is None and want._order is None
-            assert got._failed == want._failed
-            assert syndrome_to_dict(got) == data
-            assert data["outcomes"] == sorted(
-                [*pair, value] for pair, value in got.outcomes.items()
-            )
-
-    @pytest.mark.parametrize("mutation", MUTATIONS)
-    def test_a_mutation_reads_as_the_general_pass(self, mutation):
-        rng = random.Random(f"strict {mutation}")
-        compared = 0
-        while compared < 80:
-            graph = random_graph(rng)
-            rows = canonical_rows(rng, graph)
-            if len(rows) < 2:
-                continue
-            data = {"outcomes": mutated(rng, graph, rows, mutation)}
-            want = read_state(outcome_of(jsonio._read_rows, data["outcomes"], graph))
-            got = read_state(outcome_of(syndrome_from_dict, data, graph))
-            assert got == want
-            compared += 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from conftest import random_digraph
+from conftest import iter_subsets, random_digraph
 from diagkit.diagnosability import (
     common_syndrome,
     oracle_is_t_diagnosable,
@@ -21,7 +21,6 @@ from diagkit.graph import (
     Node,
     Syndrome,
     is_consistent_fault_set,
-    iter_subsets,
     pmc_compatible,
 )
 from diagkit.identification import all_consistent_fault_sets

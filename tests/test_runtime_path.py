@@ -70,7 +70,7 @@ def literal_flat_ids(temporal):
 
 def literal_flat_graph(temporal):
     flat = literal_flat_ids(temporal)
-    base_nodes = temporal.base.node_by_id
+    base_nodes = {node.id: node for node in temporal.base.nodes}
     nodes = [
         Node(
             id=flat[(pane, nid)],
