@@ -3,9 +3,7 @@
 Exit codes: 0 for success (diagnosable / unique verdict), 1 for a negative
 analytic result (not diagnosable, ambiguous, inconsistent), 2 for usage or
 input errors.  Every subcommand emits a single JSON document on stdout when
-given --json.  The DIAGKIT_EXACT_CAP environment variable overrides the
-default node cap for exact diagnosability; a value that is not an integer
-is an input error.
+given --json.
 """
 
 from __future__ import annotations
@@ -28,16 +26,6 @@ from .dot import graph_to_dot, temporal_to_dot
 from .errors import DiagkitError
 from .graph import DiagnosticGraph, Syndrome, as_fraction
 from .temporal import Interval, TemporalGraph, TemporalTemplate
-
-
-def _default_exact_cap() -> int:
-    raw = os.environ.get("DIAGKIT_EXACT_CAP")
-    if raw is None:
-        return dx.DEFAULT_EXACT_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"DIAGKIT_EXACT_CAP must be an integer, got {raw!r}") from exc
 
 
 def _load_graph_arg(ref: str) -> DiagnosticGraph | TemporalGraph:
@@ -108,27 +96,16 @@ def _certificate_lines(cert: dx.DiagnosabilityCertificate) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     graph = _flatten(_load_graph_arg(args.graph))
-    cap = args.exact_cap
     if args.t is not None:
         cert = dx.is_t_diagnosable(graph, args.t)
         _emit(args, cert.to_json_dict, lambda: _certificate_lines(cert))
         return 0 if cert.diagnosable else 1
-    if graph.n <= cap:
-        result = dx.max_diagnosability(graph, exact_cap=cap)
-        human = [f"t_max = {result.t_max} (search ceiling {result.ceiling})"]
-        human.append("  " + _certificate_lines(result.certificate))
-        if result.refutation is not None:
-            human.append("  " + _certificate_lines(result.refutation))
-        _emit(args, result.to_json_dict, lambda: "\n".join(human))
-        return 0
-    bounds = dx.diagnosability_bounds(graph)
-    document = {"bounds": {"lower": bounds.lower, "upper": bounds.upper}, "exact": False}
-    _emit(
-        args,
-        lambda: document,
-        lambda: f"{bounds.lower} <= t_max <= {bounds.upper} "
-        f"(graph beyond exact cap of {cap} nodes)",
-    )
+    result = dx.max_diagnosability(graph)
+    human = [f"t_max = {result.t_max} (search ceiling {result.ceiling})"]
+    human.append("  " + _certificate_lines(result.certificate))
+    if result.refutation is not None:
+        human.append("  " + _certificate_lines(result.refutation))
+    _emit(args, result.to_json_dict, lambda: "\n".join(human))
     return 0
 
 
@@ -239,17 +216,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         raise ValueError("profile expects a plain (non-temporal) graph file")
     chain = _parse_chain(args.chain)
     template = _template_from_args(args)
-    profile = tg.diagnosability_profile(
-        graph, as_fraction(args.hz), template, chain, exact_cap=args.exact_cap
-    )
+    profile = tg.diagnosability_profile(graph, as_fraction(args.hz), template, chain)
     lines = ["interval            t"]
     for entry in profile.entries:
-        if entry.exact:
-            lines.append(f"{str(entry.interval):<20}{entry.t}")
-        else:
-            lines.append(
-                f"{str(entry.interval):<20}{entry.bounds.lower}..{entry.bounds.upper}"
-            )
+        lines.append(f"{str(entry.interval):<20}{entry.t}")
     _emit(args, profile.to_json_dict, lambda: "\n".join(lines))
     return 0
 
@@ -260,13 +230,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise ValueError("audit expects a temporal graph file (see expand --out)")
     syndrome = jsonio.load_syndrome_file(args.syndrome, graph.flat_graph)
     windows = _parse_chain(args.windows)
-    report = tg.audit(
-        graph,
-        syndrome,
-        windows,
-        include_vertices=args.vertex_level,
-        exact_cap=args.exact_cap,
-    )
+    report = tg.audit(graph, syndrome, windows, include_vertices=args.vertex_level)
 
     def human() -> str:
         lines = []
@@ -354,12 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="diagnosability of a graph")
     p.add_argument("graph")
     p.add_argument("--t", type=int, default=None, help="check this t only")
-    p.add_argument(
-        "--exact-cap",
-        type=int,
-        default=None,
-        help="node cap for exact search (env DIAGKIT_EXACT_CAP)",
-    )
     common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -411,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offsets", default="1")
     p.add_argument("--bidirectional", action="store_true")
     p.add_argument("--cross-module", action="store_true")
-    p.add_argument("--exact-cap", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_profile)
 
@@ -422,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--windows", required=True, help='nested ascending, e.g. "0:0,0:0.01,0:0.02"'
     )
     p.add_argument("--vertex-level", action="store_true")
-    p.add_argument("--exact-cap", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_audit)
 
@@ -448,10 +404,6 @@ def _parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> int:
     """Run the chosen subcommand; an input error prints its message and gives 2."""
     try:
-        # Read here, not as a parser default, so a bad value is an input error.
-        exact_cap = _default_exact_cap()
-        if "exact_cap" in vars(args) and args.exact_cap is None:
-            args.exact_cap = exact_cap
         return args.func(args)
     except BrokenPipeError:
         raise

@@ -9,10 +9,14 @@ three structural conditions:
   (iii) for each p in [0, t), every node subset X of size n - 2t + p has
         more than p nodes outside X that some member of X tests.
 
-Condition (iii) is decided by enumerating the subsets directly, so the
-exact path is gated to small graphs; ``diagnosability_bounds`` serves
-larger ones.  Alongside the checker lives a definition-level brute-force
-oracle that searches for two small fault sets sharing a syndrome; the two
+Condition (iii) is decided by a pruned depth-first search over X in
+lexicographic order.  The largest t, t(D), comes from a closed form,
+⌊(m − 1)/2⌋ with m the least |W| + 2·|T(W) \\ W| over nonempty node sets
+W and T(W) their testers, computed by minimum cuts in polynomial time
+(Sullivan, FOCS 1984; Hakimi & Amin, IEEE Trans. Computers C-23(1), 1974);
+the set W that attains m, read as a condition-(iii) witness, refutes
+t(D) + 1.  Alongside lives a definition-level brute-force oracle that
+searches for two small fault sets sharing a syndrome; it and the checker
 must always agree, and the test suite holds them to that.
 """
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import GraphError, SizeCapError
 from .graph import (
@@ -33,9 +37,7 @@ from .graph import (
     tested_by,
 )
 
-DEFAULT_EXACT_CAP = 24
 DEFAULT_ORACLE_CAP = 14
-DEFAULT_SUBSET_BUDGET = 2_000_000
 
 
 class Verdict(Enum):
@@ -108,19 +110,6 @@ class DiagnosabilityCertificate:
         return doc
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _Budget:
-    """Mutable countdown over enumerated subsets."""
-
-    __slots__ = ("remaining",)
-
-    def __init__(self, remaining: int) -> None:
-        self.remaining = remaining
-
-
 def _check_args(graph: DiagnosticGraph, t: int) -> int:
     n = graph.n
     if n == 0:
@@ -134,39 +123,50 @@ def _check_args(graph: DiagnosticGraph, t: int) -> int:
     return n
 
 
-def _cond_iii_witness(
-    graph: DiagnosticGraph, t: int, budget: _Budget | None = None
-) -> CondIIIWitness | None:
-    """First failing (p, X), scanning p ascending and X lexicographically."""
+def _cond_iii_witness(graph: DiagnosticGraph, t: int) -> CondIIIWitness | None:
+    """First failing (p, X), by p ascending and X lexicographically.
+
+    X grows one position at a time, depth first in lexicographic order.
+    Growing a prefix P takes out of its testable set Γ(P) only the members
+    it adds, which lie above P's last position, so P is dropped once
+    |Γ(P)|, less the fewer of the members still to add and the members of
+    Γ(P) above its last position, exceeds p.
+    """
     n = graph.n
     out_masks = graph.out_masks
     for p in range(t):
         size = n - 2 * t + p
         if size <= 0:  # unreachable once condition (i) holds
             continue
-        for combo in itertools.combinations(range(n), size):
-            if budget is not None:
-                budget.remaining -= 1
-                if budget.remaining < 0:
-                    raise _BudgetExceeded
-            subset_mask = 0
-            reached = 0
-            for pos in combo:
-                subset_mask |= 1 << pos
-                reached |= out_masks[pos]
-            reached &= ~subset_mask
-            if reached.bit_count() <= p:
+        # (members, the nodes they test, last position, members still to
+        # add); children are pushed from the highest position down, so the
+        # lowest is popped first.
+        stack = [(0, 0, -1, size)]
+        while stack:
+            members, reached, last, left = stack.pop()
+            if not left:
                 return CondIIIWitness(
                     p=p,
-                    members=graph.ids_of(subset_mask),
-                    testable=graph.ids_of(reached),
+                    members=graph.ids_of(members),
+                    testable=graph.ids_of(reached & ~members),
                 )
+            left -= 1
+            for pos in range(n - 1 - left, last, -1):
+                grown = members | 1 << pos
+                tested = reached | out_masks[pos]
+                outside = tested & ~grown
+                if outside.bit_count() - min(left, (outside >> pos).bit_count()) <= p:
+                    stack.append((grown, tested, pos, left))
     return None
 
 
-def _is_t_diagnosable(
-    graph: DiagnosticGraph, t: int, budget: _Budget | None
-) -> DiagnosabilityCertificate:
+def is_t_diagnosable(graph: DiagnosticGraph, t: int) -> DiagnosabilityCertificate:
+    """Decide t-diagnosability and return a certificate.
+
+    t = 0 is trivially diagnosable for any nonempty graph: there is nothing
+    to identify.  A refusal names the first condition that fails, with the
+    lexicographically first (p, X) for condition (iii).
+    """
     n = _check_args(graph, t)
     if n < 2 * t + 1:
         return DiagnosabilityCertificate(
@@ -180,19 +180,108 @@ def _is_t_diagnosable(
                 "cond_ii",
                 CondIIWitness(node=nid, in_degree=degree),
             )
-    witness = _cond_iii_witness(graph, t, budget)
+    witness = _cond_iii_witness(graph, t)
     if witness is not None:
         return DiagnosabilityCertificate(t, Verdict.NOT_DIAGNOSABLE, "cond_iii", witness)
     return DiagnosabilityCertificate(t, Verdict.DIAGNOSABLE)
 
 
-def is_t_diagnosable(graph: DiagnosticGraph, t: int) -> DiagnosabilityCertificate:
-    """Decide t-diagnosability and return a certificate.
+def _testers(graph: DiagnosticGraph) -> list[list[int]]:
+    """Per position, the positions that test it."""
+    testers: list[list[int]] = [[] for _ in range(graph.n)]
+    for tester, testee in graph.position_pairs():
+        testers[testee].append(tester)
+    return testers
 
-    t = 0 is trivially diagnosable for any nonempty graph: there is nothing
-    to identify.
+
+def _least_cut(testers: list[list[int]], limit: int) -> tuple[int, list[int]]:
+    """min(m, limit), where m is the least f(W) = |W| + 2·|T(W) \\ W| over
+    nonempty W, and a W attaining it if that is below ``limit`` (else []).
+
+    The least f(W) over the W whose lowest position is v is a minimum cut
+    between v and a sink, in a network with a node a_u per tester u:
+    x -> sink (1) for each x, x -> a_u (unbounded) for each tester u of x,
+    and a_u -> u (2).  A cut that keeps W on v's side pays 1 per member and
+    2 per tester outside W.  Positions below v lead to the sink without
+    bound, so they stay outside W.  Unit paths are found by breadth-first
+    search from v, and the flow stops at the least value found so far; a
+    search that finds no path has reached exactly the W it cuts off.  Each
+    search stops at the first node with room to the sink, so a cut
+    explores only a neighbourhood of v.
     """
-    return _is_t_diagnosable(graph, t, None)
+    best, least = limit, []
+    for v in range(len(testers)):
+        into: dict[int, dict[int, int]] = {}  # u -> {x: units on x -> a_u}
+        through: dict[int, int] = {}  # u -> units on a_u -> u
+        full: set[int] = set()  # the x whose unit to the sink is taken
+        flow = 0
+        while flow < best:
+            # A node x >= 0 is a position; ~u < 0 is a_u.
+            parent: dict[int, int | None] = {v: None}
+            queue = [v]
+            for node in queue:
+                if node >= 0:
+                    if node < v or node not in full:
+                        break
+                    for u in testers[node]:
+                        if ~u not in parent:
+                            parent[~u] = node
+                            queue.append(~u)
+                    if through.get(node) and ~node not in parent:
+                        parent[~node] = node
+                        queue.append(~node)
+                else:
+                    u = ~node
+                    if through.get(u, 0) < 2 and u not in parent:
+                        parent[u] = node
+                        queue.append(u)
+                    for x in into.get(u, ()):
+                        if x not in parent:
+                            parent[x] = node
+                            queue.append(x)
+            else:
+                best, least = flow, [x for x in parent if x >= 0]
+                break
+            full.add(node)
+            flow += 1
+            # One unit along the path: a_u -> u and x -> a_u (u tests x)
+            # carry it forward; u -> a_u and a_u -> x cancel a unit.
+            while (prev := parent[node]) is not None:
+                enters = node >= 0  # a_u -> x, else x -> a_u
+                u, x = (~prev, node) if enters else (~node, prev)
+                if x == u:
+                    through[u] = through.get(u, 0) + (1 if enters else -1)
+                else:
+                    units = into.setdefault(u, {})
+                    units[x] = units.get(x, 0) + (-1 if enters else 1)
+                    if not units[x]:
+                        del units[x]
+                node = prev
+    return best, least
+
+
+def _refutation(
+    graph: DiagnosticGraph, testers: list[list[int]], t: int, least: list[int]
+) -> DiagnosabilityCertificate:
+    """The condition-(iii) failure at t given by a W with f(W) <= 2t, for t
+    no higher than the search ceiling.
+
+    With S = T(W) \\ W, no node of X = V \\ (W ∪ S) tests W, so Γ(X) ⊆ S.
+    X has n − |W| − |S| = n − 2t + p members for p = 2t − |W| − |S|, and
+    |Γ(X)| <= |S| <= p follows from f(W) <= 2t.  p < t because each w in W
+    has at least t testers, all in (W − w) ∪ S, so |W| + |S| > t.
+    """
+    inside = tested = 0
+    for x in least:
+        inside |= 1 << x
+        for u in testers[x]:
+            tested |= 1 << u
+    outside = tested & ~inside
+    members = ((1 << graph.n) - 1) & ~(inside | outside)
+    p = 2 * t - len(least) - outside.bit_count()
+    testable = tested_by(graph.out_masks, members) & ~members
+    witness = CondIIIWitness(p, graph.ids_of(members), graph.ids_of(testable))
+    return DiagnosabilityCertificate(t, Verdict.NOT_DIAGNOSABLE, "cond_iii", witness)
 
 
 def revalidate_certificate(
@@ -200,12 +289,13 @@ def revalidate_certificate(
 ) -> bool:
     """Re-check a certificate against the graph it was computed from.
 
-    Failure witnesses are validated directly from adjacency queries rather
-    than by re-running the subset scan; passing certificates are re-derived.
+    Failure witnesses are validated directly from adjacency queries;
+    passing certificates are re-derived by the minimum cut.
     """
     t = certificate.t
     if certificate.diagnosable:
-        return is_t_diagnosable(graph, t).diagnosable
+        _check_args(graph, t)
+        return _least_cut(_testers(graph), 2 * t + 1)[0] > 2 * t
     witness = certificate.witness
     if certificate.failed_condition == "cond_i":
         return (
@@ -255,61 +345,30 @@ class MaxDiagnosability:
         }
 
 
-def max_diagnosability(
-    graph: DiagnosticGraph, *, exact_cap: int = DEFAULT_EXACT_CAP
-) -> MaxDiagnosability:
-    """Exact largest t for which the graph is t-diagnosable.
+def max_diagnosability(graph: DiagnosticGraph) -> MaxDiagnosability:
+    """Exact largest t for which the graph is t-diagnosable, in polynomial time.
 
-    Searches downward from the ceiling; thanks to monotonicity in t, the
-    first success from above is the answer.  Exponential in the worst case,
-    hence the node cap; use :func:`diagnosability_bounds` beyond it.
+    Two fault sets A ≠ B share a syndrome exactly when no node of
+    W = A △ B is tested from outside A ∪ B, that is when T(W) \\ W lies in
+    A ∩ B; the larger of the two then has at least ⌈|W|/2⌉ + |T(W) \\ W|
+    members, and a pair attains it.  So t(D) = ⌊(m − 1)/2⌋, where m is the
+    least f(W) = |W| + 2·|T(W) \\ W| over nonempty W, found by one minimum
+    cut per node (:func:`_least_cut`).  Below the search ceiling the
+    refutation at t(D) + 1 is the minimiser, read as a condition-(iii)
+    witness (:func:`_refutation`).
     """
     if graph.n == 0:
         raise GraphError("empty graph")
-    if graph.n > exact_cap:
-        raise SizeCapError(
-            f"exact search is capped at {exact_cap} nodes (graph has {graph.n}); "
-            "raise the cap or use diagnosability_bounds"
-        )
     ceiling = search_ceiling(graph)
-    refutation: DiagnosabilityCertificate | None = None
-    for t in range(ceiling, -1, -1):
-        certificate = is_t_diagnosable(graph, t)
-        if certificate.diagnosable:
-            return MaxDiagnosability(
-                t_max=t, ceiling=ceiling, certificate=certificate, refutation=refutation
-            )
-        refutation = certificate
-    raise AssertionError("t = 0 must be diagnosable for a nonempty graph")
-
-
-class Bounds(NamedTuple):
-    lower: int
-    upper: int
-
-
-def diagnosability_bounds(
-    graph: DiagnosticGraph, *, subset_budget: int = DEFAULT_SUBSET_BUDGET
-) -> Bounds:
-    """Cheap bracket: lower <= t(D) <= upper.
-
-    The upper bound is structural (min in-degree and the majority limit).
-    The lower bound is the largest t verified by a downward search allowed
-    to enumerate at most ``subset_budget`` subsets in total; it degrades to
-    0 when the budget runs out before any level is verified.
-    """
-    if graph.n == 0:
-        return Bounds(0, 0)
-    ceiling = search_ceiling(graph)
-    budget = _Budget(subset_budget)
-    for t in range(ceiling, 0, -1):
-        try:
-            certificate = _is_t_diagnosable(graph, t, budget)
-        except _BudgetExceeded:
-            return Bounds(0, ceiling)
-        if certificate.diagnosable:
-            return Bounds(t, ceiling)
-    return Bounds(0, ceiling)
+    testers = _testers(graph)
+    m, least = _least_cut(testers, 2 * ceiling + 1)
+    t_max = (m - 1) // 2
+    return MaxDiagnosability(
+        t_max=t_max,
+        ceiling=ceiling,
+        certificate=DiagnosabilityCertificate(t_max, Verdict.DIAGNOSABLE),
+        refutation=_refutation(graph, testers, t_max + 1, least) if least else None,
+    )
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,11 @@ class DiagnosticGraph(_Frozen):
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]) -> None:
         nodes = tuple(sorted(nodes, key=_BY_ID))
         edges = tuple(sorted(edges, key=_BY_PAIR))
-        ids = tuple(map(_BY_ID, nodes))
+        # Tuples of a graph's size are made from lists, whose length is
+        # known: CPython resizes a tuple made from an iterator, and keeps
+        # each such tuple of 11 to 19 items on a free list once it dies, so
+        # building many small graphs would grow memory by up to 2 MB.
+        ids = tuple([node.id for node in nodes])
         pos = {nid: p for p, nid in enumerate(ids)}
         masks = [0] * len(ids)
         valid = len(pos) == len(ids)
@@ -308,7 +312,7 @@ class DiagnosticGraph(_Frozen):
 
     @cached_property
     def in_degrees(self) -> tuple[int, ...]:
-        return tuple(mask.bit_count() for mask in self.tester_masks)
+        return tuple([mask.bit_count() for mask in self.tester_masks])
 
     def position_pairs(self) -> Iterator[tuple[int, int]]:
         """(tester, testee) positions of every edge, in edge order."""
@@ -451,6 +455,10 @@ class Syndrome(_Frozen):
         return f"{type(self).__qualname__}(outcomes={self.outcomes!r})"
 
     def __reduce__(self) -> tuple:
+        # A held syndrome travels as its graph and failed masks, so that it
+        # is still written as its failed tests.
+        if self._held:
+            return (type(self)._from_masks, (self._graph, self._failed, self._order))
         return (type(self), (dict(self.outcomes),))
 
     @classmethod

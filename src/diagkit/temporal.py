@@ -30,13 +30,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .diagnosability import (
-    DEFAULT_EXACT_CAP,
-    Bounds,
-    diagnosability_bounds,
-    max_diagnosability,
-)
-from .errors import GraphError, SizeCapError
+from .diagnosability import max_diagnosability
+from .errors import GraphError
 from .graph import (
     DiagnosticGraph,
     EdgeKind,
@@ -274,23 +269,16 @@ def frequency_subgraph(
 @dataclass(frozen=True)
 class ProfileEntry:
     interval: Interval
-    t: int | None
-    bounds: Bounds | None
-    exact: bool
+    t: int
 
     def to_json_dict(self) -> dict:
-        doc: dict = {
+        return {
             "interval": [
                 fraction_to_json(self.interval.a),
                 fraction_to_json(self.interval.b),
             ],
-            "exact": self.exact,
+            "t": self.t,
         }
-        if self.exact:
-            doc["t"] = self.t
-        else:
-            doc["bounds"] = [self.bounds.lower, self.bounds.upper]
-        return doc
 
 
 @dataclass(frozen=True)
@@ -312,13 +300,11 @@ def diagnosability_profile(
     frequency_hz: int | float | str | Fraction,
     template: TemporalTemplate,
     chain: Sequence[Interval],
-    *,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> DiagnosabilityProfile:
-    """Expand over each interval of a nested chain and measure each one.
+    """Expand over each interval of a nested chain and find each one's exact t.
 
     ``chain`` must be sorted by inclusion, each interval containing the
-    next.  Entries past the exact-size cap fall back to bounds.
+    next.
     """
     if not chain:
         raise ValueError("chain must contain at least one interval")
@@ -327,28 +313,16 @@ def diagnosability_profile(
             raise ValueError(
                 f"chain must be nested by inclusion: {bigger} does not contain {smaller}"
             )
-    entries: list[ProfileEntry] = []
+    entries = []
     for interval in chain:
-        expansion = expand(base, frequency_hz, interval, template)
-        flat = expansion.flat_graph
-        if flat.n <= exact_cap:
-            result = max_diagnosability(flat, exact_cap=exact_cap)
-            entries.append(ProfileEntry(interval, result.t_max, None, True))
-        else:
-            entries.append(
-                ProfileEntry(interval, None, diagnosability_bounds(flat), False)
-            )
-    previous: int | None = None
-    for entry in entries:
-        if not entry.exact:
-            previous = None
-            continue
-        if previous is not None and entry.t > previous:
+        flat = expand(base, frequency_hz, interval, template).flat_graph
+        entries.append(ProfileEntry(interval, max_diagnosability(flat).t_max))
+    for bigger, smaller in zip(entries, entries[1:]):
+        if smaller.t > bigger.t:
             raise AssertionError(
                 "diagnosability increased under restriction "
-                f"({previous} -> {entry.t}); this indicates a bug in the analysis"
+                f"({bigger.t} -> {smaller.t}); this indicates a bug in the analysis"
             )
-        previous = entry.t
     return DiagnosabilityProfile(entries=tuple(entries))
 
 
@@ -396,13 +370,13 @@ def audit(
     windows: Sequence[Interval],
     *,
     include_vertices: bool = False,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> AuditReport:
     """Re-run identification over progressively longer windows.
 
     ``syndrome`` is over the flat view of ``graph``; ``windows`` must be
     nested ascending, the largest contained in the graph's interval.  Each
-    window is analysed at the exact diagnosability of its restriction.
+    window is analysed at the exact diagnosability of its restriction,
+    which the minimum cut of :func:`max_diagnosability` gives at any size.
 
     Base-node statuses assume faults are time-constant: a module is faulty
     in all panes of a window or in none, so candidate fault sets that flip
@@ -434,11 +408,6 @@ def audit(
             )
             continue
         flat = sub.flat_graph
-        if flat.n > exact_cap:
-            raise SizeCapError(
-                f"audit window {window} expands to {flat.n} vertices, beyond the "
-                f"exact cap of {exact_cap}"
-            )
         # The window's flat ids are the graph's, shifted by its first pane,
         # and its edges are the graph's edges between its vertices.
         shift = (sub.panes[0] - graph.panes[0]) * width
@@ -446,7 +415,7 @@ def audit(
         window_syndrome = Syndrome._from_masks(
             flat, [row >> shift & inside for row in failed[shift : shift + flat.n]]
         )
-        t_used = max_diagnosability(flat, exact_cap=exact_cap).t_max
+        t_used = max_diagnosability(flat).t_max
         masks = _candidate_masks(flat, window_syndrome, t_used)
 
         # Flat ids number the window's vertices pane by pane, so a module's

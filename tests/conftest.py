@@ -28,6 +28,33 @@ def iter_subsets(ids: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]]
         yield from itertools.combinations(ordered, size)
 
 
+def scan_cond_iii(graph: DiagnosticGraph, t: int) -> tuple[int, int] | None:
+    """First failing (p, X mask) of condition (iii), by p and then X in
+    ``itertools.combinations`` order: the literal subset scan."""
+    n = graph.n
+    for p in range(t):
+        size = n - 2 * t + p
+        if size <= 0:
+            continue
+        for combo in itertools.combinations(range(n), size):
+            members = reached = 0
+            for pos in combo:
+                members |= 1 << pos
+                reached |= graph.out_masks[pos]
+            if (reached & ~members).bit_count() <= p:
+                return p, members
+    return None
+
+
+def scan_t_max(graph: DiagnosticGraph) -> int:
+    """Largest t passing conditions (i)-(iii), by the literal scan at each
+    level from the search ceiling down."""
+    t = min(min(graph.in_degrees), (graph.n - 1) // 2)
+    while scan_cond_iii(graph, t) is not None:
+        t -= 1
+    return t
+
+
 def random_digraph(rng: random.Random, n: int, p: float) -> DiagnosticGraph:
     """Loop-free digraph on ids 1..n with independent edge probability p."""
     nodes = tuple(Node(i) for i in range(1, n + 1))
@@ -38,6 +65,22 @@ def random_digraph(rng: random.Random, n: int, p: float) -> DiagnosticGraph:
         if i != j and rng.random() < p
     )
     return DiagnosticGraph(nodes, edges)
+
+
+def clustered_digraph(rng: random.Random, n: int) -> DiagnosticGraph:
+    """Digraph on ids 1..n in which a random set W is tested from outside
+    only by a random set S; refutations of condition (iii) are common."""
+    ids = range(1, n + 1)
+    inside = set(rng.sample(ids, rng.randint(1, n)))
+    allowed = inside | set(rng.sample(ids, rng.randint(0, n // 3)))
+    p = rng.uniform(0.5, 1.0)
+    edges = tuple(
+        Edge(i, j)
+        for i in ids
+        for j in ids
+        if i != j and (j not in inside or i in allowed) and rng.random() < p
+    )
+    return DiagnosticGraph(tuple(Node(i) for i in ids), edges)
 
 
 @pytest.fixture

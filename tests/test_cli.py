@@ -56,27 +56,39 @@ class TestAnalyze:
         assert code == 2
         assert "no such file or bundled scenario" in err
 
-    def test_beyond_cap_reports_bounds(self, capsys):
-        code, doc, _ = run_json(capsys, "analyze", "localization", "--exact-cap", "5")
+    def test_large_expansion_is_exact(self, capsys, tmp_path):
+        """The 1,111-vertex localization expansion gets its exact t with a
+        certificate, and no bounds."""
+        recording = str(tmp_path / "recording.json")
+        assert main([
+            "expand", "localization", "--hz", "100", "--interval", "0", "1",
+            "--offsets", "1,2", "--bidirectional", "--out", recording,
+        ]) == 0
+        capsys.readouterr()
+        code, doc, _ = run_json(capsys, "analyze", recording)
         assert code == 0
-        assert doc["bounds"] == {"lower": 1, "upper": 2}
-
-    def test_env_var_overrides_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIAGKIT_EXACT_CAP", "5")
-        code, doc, _ = run_json(capsys, "analyze", "localization")
-        assert code == 0
-        assert "bounds" in doc
-
-    def test_env_var_that_is_not_an_integer_is_an_input_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIAGKIT_EXACT_CAP", "abc")
-        code, out, err = run(capsys, "scenarios")
-        assert (code, out) == (2, "")
-        assert err == "error: DIAGKIT_EXACT_CAP must be an integer, got 'abc'\n"
-        code, out, _ = run(capsys, "analyze", "five_cycle", "--exact-cap", "5", "--json")
-        assert code == 2
-        assert json.loads(out) == {
-            "error": "DIAGKIT_EXACT_CAP must be an integer, got 'abc'"
+        assert doc == {
+            "ceiling": 4,
+            "certificate": {"t": 4, "verdict": "diagnosable"},
+            "refutation": None,
+            "t_max": 4,
         }
+
+    def test_exact_cap_is_gone(self, capsys, monkeypatch):
+        """DIAGKIT_EXACT_CAP is not read, and --exact-cap is no option."""
+        for value in ("5", "abc"):
+            monkeypatch.setenv("DIAGKIT_EXACT_CAP", value)
+            code, doc, _ = run_json(capsys, "analyze", "localization")
+            assert (code, doc["t_max"]) == (0, 1)
+        for argv in (
+            ["analyze", "five_cycle"],
+            ["profile", "five_cycle", "--hz", "10", "--chain", "0:0"],
+            ["audit", "temporal.json", "syndrome.json", "--windows", "0:0"],
+        ):
+            with pytest.raises(SystemExit) as exited:
+                main([*argv, "--exact-cap", "5"])
+            assert exited.value.code == 2
+            assert "--exact-cap" in capsys.readouterr().err
 
 
 class TestIdentify:

@@ -10,8 +10,8 @@ code is 0, 1 or 2 and no exception escapes: exit 2 comes with an
 ``error:`` line, and exit 1 only with a well-formed negative analytic
 result.  Plain graphs have at most 6 nodes.  Temporal documents and
 ``expand``/``profile`` span at most 3 panes at 100 Hz over bases of at most
-4 nodes, so every flat graph has at most 12 vertices and the exact
-analyses stay fast.
+6 nodes, so every flat graph has at most 18 vertices.  A complete 6-node
+base over 4 panes is analysed once as a fixed case.
 """
 
 import contextlib
@@ -25,6 +25,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from diagkit.cli import main
+from diagkit.diagnosability import is_t_diagnosable, search_ceiling
 from diagkit.errors import DiagkitError
 from diagkit.jsonio import graph_from_dict, temporal_from_dict
 
@@ -71,7 +72,7 @@ def graph_documents(draw, max_nodes=6):
 
 @st.composite
 def temporal_documents(draw):
-    """A base of at most 4 nodes spanning at most 3 panes at 100 Hz."""
+    """A base of at most 6 nodes spanning at most 3 panes at 100 Hz."""
     offsets = pick(draw, [[1], [1, 2], [2, 3]], [[], [0], [1.5], [True], ["1"], 3])
     template = {"offsets": offsets}
     for key in ("bidirectional", "identity_only"):
@@ -86,7 +87,7 @@ def temporal_documents(draw):
         "hz": pick(draw, [100, "100", 100.0, 50], ["1/0", 0, -100, "x", True, None]),
         "template": template,
     }
-    return {"base": draw(graph_documents(max_nodes=4)), "temporal": recipe}
+    return {"base": draw(graph_documents()), "temporal": recipe}
 
 
 def outcome_row(draw, tester, testee, value):
@@ -179,7 +180,7 @@ def invocations(draw, folder):
         argv += [str(syndrome_path), "--t", budget]
     elif command in ("expand", "profile"):
         argv[1] = str(folder / "base.json")
-        Path(argv[1]).write_text(json.dumps(draw(graph_documents(max_nodes=4))))
+        Path(argv[1]).write_text(json.dumps(draw(graph_documents())))
         argv += ["--hz", pick(draw, ["100", "50", "100.0"], ["1/0", "0/0", "-5", "x"])]
         argv += ["--offsets", pick(draw, ["1", "1,2", "2,3", ""], ["0", "1.5", "x"])]
         if command == "expand":
@@ -241,3 +242,30 @@ def test_every_document_exits_0_1_or_2_with_no_traceback(data):
     document = json.loads(out)
     assert "error" not in document
     assert (code == 1) == negative_result(argv[0], document), (argv, document)
+
+
+@pytest.mark.parametrize("extra", [[], ["--cross-module"]])
+def test_complete_base_over_four_panes(tmp_path, extra):
+    """24 flat vertices, past the size cap that exact t used to have: a
+    complete 6-node base, 4 panes at 100 Hz, offsets {1, 2, 3}, both
+    directions.  ``t_max`` equals the first level, from the search ceiling
+    down, that ``is_t_diagnosable`` passes."""
+    nodes = [{"id": i} for i in range(6)]
+    edges = [{"tester": i, "testee": j} for i in range(6) for j in range(6) if i != j]
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+    recording = tmp_path / "recording.json"
+    argv = ["expand", str(base), "--hz", "100", "--interval", "0", "0.03",
+            "--offsets", "1,2,3", "--bidirectional", *extra, "--out", str(recording)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(recording), "--json"]) == 0
+    document = json.loads(out.getvalue())
+    flat = temporal_from_dict(json.loads(recording.read_text())).flat_graph
+    assert flat.n == 24
+    t = search_ceiling(flat)
+    while not is_t_diagnosable(flat, t).diagnosable:
+        t -= 1
+    assert document["t_max"] == t == (11 if extra else 8)

@@ -1,16 +1,25 @@
-"""Checker, exact maximum, bounds, and the brute-force oracle."""
+"""Checker, exact maximum by minimum cut, and the brute-force oracle."""
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import cycle_syndrome, random_digraph
+from conftest import (
+    clustered_digraph,
+    cycle_syndrome,
+    random_digraph,
+    scan_cond_iii,
+    scan_t_max,
+)
 from diagkit.diagnosability import (
-    Bounds,
     CondIIIWitness,
+    DiagnosabilityCertificate,
+    Verdict,
+    _least_cut,
+    _testers,
     common_syndrome,
-    diagnosability_bounds,
     is_t_diagnosable,
     max_diagnosability,
     oracle_is_t_diagnosable,
@@ -24,7 +33,10 @@ from diagkit.graph import (
     Node,
     pmc_compatible,
     testable_set,
+    tested_by,
 )
+from diagkit.simulator import scenario
+from diagkit.temporal import Interval, TemporalTemplate, expand
 
 
 class TestIsTDiagnosable:
@@ -110,14 +122,18 @@ class TestMaxDiagnosability:
             members=result.refutation.witness.members,
             testable=frozenset({1}),
         )
-        from dataclasses import replace
-
         tampered = replace(result.refutation, witness=bad_witness)
         assert not revalidate_certificate(localization, tampered)
 
-    def test_size_cap(self, five_cycle):
-        with pytest.raises(SizeCapError, match="exact search"):
-            max_diagnosability(five_cycle, exact_cap=4)
+    def test_size_cap(self):
+        """There is none: a graph past the former cap of 24 nodes gets its
+        exact t.  Node i tests the next k nodes round a cycle of n, which is
+        k-diagnosable for n >= 2k + 1 (Preparata, Metze and Chien, 1967)."""
+        for n, k in ((30, 5), (61, 30), (200, 7)):
+            nodes = [Node(i) for i in range(n)]
+            edges = [Edge(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)]
+            result = max_diagnosability(DiagnosticGraph(nodes, edges))
+            assert (result.t_max, result.ceiling, result.refutation) == (k, k, None)
 
     def test_empty_graph(self):
         with pytest.raises(GraphError):
@@ -159,27 +175,202 @@ class TestOracle:
             oracle_is_t_diagnosable(g, 1)
 
 
+def f_of(graph, positions):
+    """f(W) = |W| + 2·|T(W) \\ W| for W given by its positions."""
+    w = sum(1 << x for x in positions)
+    return len(positions) + 2 * (tested_by(graph.tester_masks, w) & ~w).bit_count()
+
+
+def least_f(graph):
+    """The least f(W) over nonempty W, by enumerating every W."""
+    return min(
+        f_of(graph, [x for x in range(graph.n) if w >> x & 1])
+        for w in range(1, 1 << graph.n)
+    )
+
+
 class TestBounds:
+    """The cut stops at a limit: below it, it returns m and a minimiser; at
+    it, only the bound m >= limit."""
+
     def test_five_cycle(self, five_cycle):
-        assert diagnosability_bounds(five_cycle) == Bounds(1, 1)
+        assert _least_cut(_testers(five_cycle), 99) == (3, [0])
+        assert _least_cut(_testers(five_cycle), 3) == (3, [])
 
     def test_localization(self, localization):
-        assert diagnosability_bounds(localization) == Bounds(1, 2)
+        m, least = _least_cut(_testers(localization), 99)
+        assert m == least_f(localization) == f_of(localization, least) == 4
 
     def test_edgeless_graph(self):
         g = DiagnosticGraph.build([Node(1), Node(2), Node(3)], [])
-        assert diagnosability_bounds(g) == Bounds(0, 0)
+        assert _least_cut(_testers(g), 99) == (1, [0])
+        assert max_diagnosability(g).t_max == 0
 
     def test_budget_exhaustion_degrades_lower_bound(self, localization):
-        assert diagnosability_bounds(localization, subset_budget=3) == Bounds(0, 2)
+        # m is 4: a limit of 2 or 4 stops the flow there, with no minimiser.
+        assert _least_cut(_testers(localization), 2) == (2, [])
+        assert _least_cut(_testers(localization), 4) == (4, [])
 
     def test_bracket_holds_on_random_graphs(self):
         rng = random.Random(17)
-        for _ in range(40):
+        for _ in range(200):
             g = random_digraph(rng, rng.randint(1, 8), rng.random())
-            lower, upper = diagnosability_bounds(g)
-            exact = max_diagnosability(g).t_max
-            assert lower <= exact <= upper
+            m = least_f(g)
+            testers = _testers(g)
+            for limit in range(1, g.n + 2):
+                value, least = _least_cut(testers, limit)
+                assert value == min(m, limit)
+                if value < limit:
+                    assert f_of(g, least) == m
+                else:
+                    assert least == []
+
+
+class TestFlowIsRerouted:
+    """Graphs whose least f(W) the cut finds only by cancelling a unit it
+    sent from x to a_u: the search must go back from a_u to x, and the
+    cancelled unit must leave the record of units sent."""
+
+    GRAPHS = [
+        (5, [(1, 2), (1, 4), (1, 5), (2, 1), (2, 3), (3, 2), (3, 5), (4, 2), (5, 1),
+             (5, 3), (5, 4)]),
+        (9, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (2, 8),
+             (3, 1), (3, 2), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (4, 3),
+             (4, 5), (4, 6), (4, 9), (5, 1), (5, 2), (5, 3), (5, 4), (5, 6), (5, 7),
+             (5, 8), (5, 9), (6, 1), (6, 2), (6, 3), (6, 5), (6, 7), (6, 8), (7, 2),
+             (7, 3), (7, 4), (7, 5), (7, 6), (7, 8), (8, 2), (8, 5), (9, 1), (9, 2),
+             (9, 3), (9, 4), (9, 5), (9, 7), (9, 8)]),
+    ]
+
+    @pytest.mark.parametrize("n, pairs", GRAPHS)
+    def test_least_f(self, n, pairs):
+        nodes = [Node(i) for i in range(1, n + 1)]
+        graph = DiagnosticGraph(nodes, [Edge(*pair) for pair in pairs])
+        assert _least_cut(_testers(graph), 99)[0] == least_f(graph)
+
+
+class TestCutAgainstScan:
+    """The cut's t_max, certificate and refutation against the literal
+    condition-(iii) scan, level by level from the search ceiling down."""
+
+    def check(self, graph):
+        result = max_diagnosability(graph)
+        assert result.t_max == scan_t_max(graph)
+        assert result.ceiling == search_ceiling(graph)
+        assert result.certificate == DiagnosabilityCertificate(
+            result.t_max, Verdict.DIAGNOSABLE
+        )
+        assert revalidate_certificate(graph, result.certificate)
+        if result.t_max == result.ceiling:
+            assert result.refutation is None
+        else:
+            refutation = result.refutation
+            assert refutation.t == result.t_max + 1
+            assert refutation.failed_condition == "cond_iii"
+            assert revalidate_certificate(graph, refutation)
+            # A witness with one member swapped for a non-member fails.
+            witness = refutation.witness
+            outside = sorted(set(graph.node_ids) - witness.members)
+            if outside:
+                members = witness.members - {min(witness.members)} | {outside[0]}
+                swapped = replace(witness, members=members)
+                tampered = replace(refutation, witness=swapped)
+                assert not revalidate_certificate(graph, tampered)
+            above = DiagnosabilityCertificate(result.t_max + 1, Verdict.DIAGNOSABLE)
+            assert not revalidate_certificate(graph, above)
+        return result
+
+    def test_every_digraph_up_to_four_nodes(self):
+        refuted = 0
+        for n in range(1, 5):
+            nodes = [Node(i) for i in range(1, n + 1)]
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+            for mask in range(1 << len(pairs)):
+                edges = [Edge(*pairs[b]) for b in range(len(pairs)) if mask >> b & 1]
+                result = self.check(DiagnosticGraph(nodes, edges))
+                refuted += result.refutation is not None
+        assert refuted > 0
+
+    def test_random_graphs_up_to_ten_nodes(self):
+        rng = random.Random(41)
+        refuted = 0
+        for trial in range(1200):
+            n = rng.randint(1, 10)
+            if trial % 2:
+                graph = clustered_digraph(rng, n)
+            else:
+                graph = random_digraph(rng, n, rng.random())
+            refuted += self.check(graph).refutation is not None
+        assert refuted > 100
+
+    def test_dense_graphs_of_fourteen_to_nineteen_nodes(self):
+        """One graph per (n, ceiling) cell, ceilings at the top and two below,
+        at edge probabilities 0.5 to 0.85, as the benchmark draws them."""
+        rng = random.Random(43)
+        for n in range(14, 20):
+            top = (n - 1) // 2
+            for ceiling in (top, top - 1, top - 2):
+                while True:
+                    graph = random_digraph(rng, n, rng.uniform(0.5, 0.85))
+                    if search_ceiling(graph) == ceiling:
+                        break
+                self.check(graph)
+
+    def test_expansion_of_localization(self):
+        """1,111 vertices, far beyond the literal scan: t = 4 at the ceiling.
+        Once vertices 555 and 556 are tested only by each other and by the
+        same three vertices, W = {555, 556} has f(W) = 2 + 2·3 = 8, so t
+        falls to 3 and the refutation at 4 is read off that W."""
+        flat = expand(
+            scenario("localization").graph,
+            100,
+            Interval(0, 1),
+            TemporalTemplate(offsets=frozenset({1, 2}), bidirectional=True),
+        ).flat_graph
+        assert flat.n == 1111
+        result = max_diagnosability(flat)
+        assert (result.t_max, result.ceiling, result.refutation) == (4, 4, None)
+        assert revalidate_certificate(flat, result.certificate)
+
+        pair = {555, 556}
+        edges = [e for e in flat.edges if e.testee not in pair]
+        edges += [Edge(555, 556), Edge(556, 555)]
+        edges += [Edge(u, x) for u in (100, 200, 300) for x in pair]
+        weakened = DiagnosticGraph(flat.nodes, edges)
+        result = max_diagnosability(weakened)
+        assert (result.t_max, result.ceiling) == (3, 4)
+        witness = result.refutation.witness
+        assert (witness.p, len(witness.members)) == (3, 1111 - 5)
+        assert witness.members.isdisjoint(pair | {100, 200, 300})
+        assert revalidate_certificate(weakened, result.refutation)
+
+
+class TestWitnessSearch:
+    """The pruned depth-first search finds the literal scan's first (p, X)."""
+
+    def test_random_graphs(self):
+        rng = random.Random(47)
+        found = 0
+        for trial in range(1500):
+            n = rng.randint(1, 11)
+            if trial % 2:
+                graph = clustered_digraph(rng, n)
+            else:
+                graph = random_digraph(rng, n, rng.random())
+            for t in range(1, min(search_ceiling(graph) + 2, (graph.n - 1) // 2 + 1)):
+                if min(graph.in_degrees) < t:
+                    continue
+                cert = is_t_diagnosable(graph, t)
+                expected = scan_cond_iii(graph, t)
+                if expected is None:
+                    assert cert.diagnosable
+                    continue
+                found += 1
+                p, members = expected
+                assert cert.failed_condition == "cond_iii"
+                assert cert.witness.p == p
+                assert cert.witness.members == graph.ids_of(members)
+        assert found > 100
 
 
 class TestAgreementWithOracle:

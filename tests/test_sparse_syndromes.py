@@ -10,6 +10,7 @@ refused, by the library and, with exit code 2, by the command line.
 
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -97,6 +98,20 @@ def test_sparse_round_trip_gives_the_same_bytes(recording):
         text = dump_json(syndrome_to_dict(random_syndrome(rng, graph)))
         again = syndrome_from_dict(json.loads(text), graph)
         assert dump_json(syndrome_to_dict(again)) == text
+
+
+def test_a_pickled_syndrome_keeps_its_bytes(five_cycle, recording):
+    rng = random.Random(73)
+    for graph in [*small_graphs(rng, 30), five_cycle, recording.flat_graph]:
+        held = random_syndrome(rng, graph)
+        again = pickle.loads(pickle.dumps(held))
+        assert again._held and again == held
+        assert dump_json(syndrome_to_dict(again)) == dump_json(syndrome_to_dict(held))
+    given = Syndrome(dict(held.outcomes))
+    failed_masks(recording.flat_graph, given)
+    again = pickle.loads(pickle.dumps(given))
+    assert not again._held
+    assert syndrome_to_dict(again) == syndrome_to_dict(given)
 
 
 def test_only_a_syndrome_made_over_a_graph_is_written_sparse(five_cycle):

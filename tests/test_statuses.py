@@ -12,8 +12,7 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from diagkit.diagnosability import DEFAULT_EXACT_CAP, max_diagnosability
-from diagkit.errors import SizeCapError
+from conftest import scan_t_max
 from diagkit.graph import DiagnosticGraph, Edge, EdgeKind, Node, Syndrome
 from diagkit.identification import (
     NodeStatus,
@@ -63,9 +62,7 @@ def literal_node_statuses(graph, syndrome, t):
     return statuses
 
 
-def literal_audit(
-    graph, syndrome, windows, *, include_vertices=False, exact_cap=DEFAULT_EXACT_CAP
-):
+def literal_audit(graph, syndrome, windows, *, include_vertices=False):
     syndrome.require_total(graph.flat_graph)
     if not windows:
         raise ValueError("audit needs at least one window")
@@ -93,18 +90,13 @@ def literal_audit(
             )
             continue
         flat = sub.flat_graph
-        if flat.n > exact_cap:
-            raise SizeCapError(
-                f"audit window {window} expands to {flat.n} vertices, beyond the "
-                f"exact cap of {exact_cap}"
-            )
         window_syndrome = Syndrome(
             {
                 (sub.flat_id(edge[0]), sub.flat_id(edge[1])): by_temporal_edge[edge]
                 for edge in sub.edges
             }
         )
-        t_used = max_diagnosability(flat, exact_cap=exact_cap).t_max
+        t_used = scan_t_max(flat)
         masks = _candidate_masks(flat, window_syndrome, t_used)
 
         group_masks = {}
@@ -180,7 +172,7 @@ def referee_window(graph, syndrome, window):
             for a, b in sub.edges
         }
     )
-    t_used = max_diagnosability(flat).t_max
+    t_used = scan_t_max(flat)
     candidates = all_consistent_fault_sets(flat, window_syndrome, t_used)
     vertices = {
         vertex: classify(candidates, {sub.flat_id(vertex)}) for vertex in sub.vertices

@@ -242,17 +242,15 @@ class TestProfile:
                 [Interval(0, 0.01), Interval(0.01, 0.02)],
             )
 
-    def test_beyond_cap_reports_bounds(self, pane_100hz):
+    def test_entries_past_the_old_cap_are_exact(self, pane_100hz):
+        """Every entry carries its exact t and nothing else; the 9-vertex
+        expansion is past the size cap the profile used to take."""
         profile = diagnosability_profile(
-            pane_100hz,
-            100,
-            DENSE_TEMPLATE,
-            [Interval(0, 0.02), Interval(0, 0)],
-            exact_cap=4,
+            pane_100hz, 100, DENSE_TEMPLATE, [Interval(0, 0.02), Interval(0, 0)]
         )
-        first, last = profile.entries
-        assert not first.exact and first.bounds is not None
-        assert last.exact and last.t == 1
+        assert profile.to_json_dict() == {
+            "entries": [{"interval": [0, 0.02], "t": 3}, {"interval": [0, 0], "t": 1}]
+        }
 
     def test_non_increasing_on_random_bases(self):
         rng = random.Random(97)
