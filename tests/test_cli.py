@@ -74,12 +74,30 @@ class TestAnalyze:
             "t_max": 4,
         }
 
-    def test_exact_cap_is_gone(self, capsys, monkeypatch):
-        """DIAGKIT_EXACT_CAP is not read, and --exact-cap is no option."""
-        for value in ("5", "abc"):
-            monkeypatch.setenv("DIAGKIT_EXACT_CAP", value)
-            code, doc, _ = run_json(capsys, "analyze", "localization")
-            assert (code, doc["t_max"]) == (0, 1)
+    def test_env_var_overrides_cap(self, capsys, monkeypatch):
+        """DIAGKIT_EXACT_CAP no longer overrides anything: with it set,
+        analyze still gives the exact t and no bounds."""
+        monkeypatch.setenv("DIAGKIT_EXACT_CAP", "5")
+        code, doc, _ = run_json(capsys, "analyze", "localization")
+        assert code == 0
+        assert doc["t_max"] == 1
+        assert "bounds" not in doc
+
+    def test_env_var_that_is_not_an_integer_is_an_input_error(self, capsys, monkeypatch):
+        """The variable is not read, so a non-integer value is no error;
+        a cap given on the command line is, as --exact-cap is no option."""
+        monkeypatch.setenv("DIAGKIT_EXACT_CAP", "abc")
+        code, _, err = run(capsys, "scenarios")
+        assert (code, err) == (0, "")
+        code, doc, _ = run_json(capsys, "analyze", "localization")
+        assert (code, doc["t_max"]) == (0, 1)
+        with pytest.raises(SystemExit) as exited:
+            main(["analyze", "five_cycle", "--exact-cap", "abc", "--json"])
+        assert exited.value.code == 2
+        assert "--exact-cap" in capsys.readouterr().err
+
+    def test_exact_cap_is_gone(self, capsys):
+        """--exact-cap is no option of analyze, profile or audit."""
         for argv in (
             ["analyze", "five_cycle"],
             ["profile", "five_cycle", "--hz", "10", "--chain", "0:0"],
