@@ -203,18 +203,29 @@ def _least_cut(testers: list[list[int]], limit: int) -> tuple[int, list[int]]:
     x -> sink (1) for each x, x -> a_u (unbounded) for each tester u of x,
     and a_u -> u (2).  A cut that keeps W on v's side pays 1 per member and
     2 per tester outside W.  Positions below v lead to the sink without
-    bound, so they stay outside W.  Unit paths are found by breadth-first
+    bound, so they stay outside W.
+
+    Each cut starts from the direct paths: v -> sink (1) and
+    v -> a_u -> u -> sink per tester u of v, 2 units if u < v, else 1.
+    Their 1 + |T(v)| + |T(v) below v| units bound the cut from below, since
+    any W whose lowest position is v holds v and pays at least 1 per tester
+    of v and 2 per tester below v; a cut whose seed reaches the best value
+    so far is skipped.  From the seed, unit paths are found by breadth-first
     search from v, and the flow stops at the least value found so far; a
-    search that finds no path has reached exactly the W it cuts off.  Each
-    search stops at the first node with room to the sink, so a cut
-    explores only a neighbourhood of v.
+    search that finds no path has reached exactly the W it cuts off, which
+    is the same for every maximum flow, so the seed leaves the minimiser
+    unchanged.  Each search stops at the first node with room to the sink,
+    so a cut explores only a neighbourhood of v.
     """
     best, least = limit, []
     for v in range(len(testers)):
-        into: dict[int, dict[int, int]] = {}  # u -> {x: units on x -> a_u}
-        through: dict[int, int] = {}  # u -> units on a_u -> u
-        full: set[int] = set()  # the x whose unit to the sink is taken
-        flow = 0
+        through = {u: 2 if u < v else 1 for u in testers[v]}  # units on a_u -> u
+        flow = 1 + sum(through.values())
+        if flow >= best:
+            continue
+        # u -> {x: units on x -> a_u}, and the x whose unit to the sink is taken.
+        into = {u: {v: units} for u, units in through.items()}
+        full = {v, *(u for u in testers[v] if u > v)}
         while flow < best:
             # A node x >= 0 is a position; ~u < 0 is a_u.
             parent: dict[int, int | None] = {v: None}
@@ -359,8 +370,8 @@ def max_diagnosability(graph: DiagnosticGraph) -> MaxDiagnosability:
     """
     if graph.n == 0:
         raise GraphError("empty graph")
-    ceiling = search_ceiling(graph)
     testers = _testers(graph)
+    ceiling = min(min(map(len, testers)), (graph.n - 1) // 2)
     m, least = _least_cut(testers, 2 * ceiling + 1)
     t_max = (m - 1) // 2
     return MaxDiagnosability(

@@ -55,6 +55,61 @@ def scan_t_max(graph: DiagnosticGraph) -> int:
     return t
 
 
+def unseeded_least_cut(testers: list[list[int]], limit: int) -> tuple[int, list[int]]:
+    """``_least_cut`` as it was before each cut started from its direct
+    paths: every cut from zero flow, none skipped.  The referee for the
+    seeded cut, which must give the same value and the same minimiser."""
+    best, least = limit, []
+    for v in range(len(testers)):
+        into: dict[int, dict[int, int]] = {}  # u -> {x: units on x -> a_u}
+        through: dict[int, int] = {}  # u -> units on a_u -> u
+        full: set[int] = set()  # the x whose unit to the sink is taken
+        flow = 0
+        while flow < best:
+            # A node x >= 0 is a position; ~u < 0 is a_u.
+            parent: dict[int, int | None] = {v: None}
+            queue = [v]
+            for node in queue:
+                if node >= 0:
+                    if node < v or node not in full:
+                        break
+                    for u in testers[node]:
+                        if ~u not in parent:
+                            parent[~u] = node
+                            queue.append(~u)
+                    if through.get(node) and ~node not in parent:
+                        parent[~node] = node
+                        queue.append(~node)
+                else:
+                    u = ~node
+                    if through.get(u, 0) < 2 and u not in parent:
+                        parent[u] = node
+                        queue.append(u)
+                    for x in into.get(u, ()):
+                        if x not in parent:
+                            parent[x] = node
+                            queue.append(x)
+            else:
+                best, least = flow, [x for x in parent if x >= 0]
+                break
+            full.add(node)
+            flow += 1
+            # One unit along the path: a_u -> u and x -> a_u (u tests x)
+            # carry it forward; u -> a_u and a_u -> x cancel a unit.
+            while (prev := parent[node]) is not None:
+                enters = node >= 0  # a_u -> x, else x -> a_u
+                u, x = (~prev, node) if enters else (~node, prev)
+                if x == u:
+                    through[u] = through.get(u, 0) + (1 if enters else -1)
+                else:
+                    units = into.setdefault(u, {})
+                    units[x] = units.get(x, 0) + (-1 if enters else 1)
+                    if not units[x]:
+                        del units[x]
+                node = prev
+    return best, least
+
+
 def random_digraph(rng: random.Random, n: int, p: float) -> DiagnosticGraph:
     """Loop-free digraph on ids 1..n with independent edge probability p."""
     nodes = tuple(Node(i) for i in range(1, n + 1))

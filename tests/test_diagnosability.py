@@ -12,6 +12,7 @@ from conftest import (
     random_digraph,
     scan_cond_iii,
     scan_t_max,
+    unseeded_least_cut,
 )
 from diagkit.diagnosability import (
     CondIIIWitness,
@@ -249,6 +250,88 @@ class TestFlowIsRerouted:
         assert _least_cut(_testers(graph), 99)[0] == least_f(graph)
 
 
+def localization_expansion():
+    """The 1,111-vertex expansion: 100 Hz over [0, 1] s, offsets {1, 2},
+    bidirectional."""
+    return expand(
+        scenario("localization").graph,
+        100,
+        Interval(0, 1),
+        TemporalTemplate(offsets=frozenset({1, 2}), bidirectional=True),
+    ).flat_graph
+
+
+class TestSeededCut:
+    """Each cut starts from its direct paths and is skipped when they reach
+    the best value so far; the cut from zero flow referees it."""
+
+    def check_against_referee(self, testers):
+        """Same value and same minimiser at every limit 1..n + 1.  Past
+        1 + 2·|T(v)| for every v, the cut of W = {v}, no limit stops a flow,
+        so every higher limit gives the referee's answer at that point."""
+        top = 1 + 2 * max(map(len, testers))
+        referee = {}
+        for limit in range(1, len(testers) + 2):
+            at = min(limit, top + 1)
+            if at not in referee:
+                referee[at] = unseeded_least_cut(testers, at)
+            value, least = _least_cut(testers, limit)
+            assert (value, set(least)) == (referee[at][0], set(referee[at][1]))
+
+    def test_random_graphs_up_to_twelve_nodes(self):
+        rng = random.Random(47)
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            self.check_against_referee(_testers(random_digraph(rng, n, rng.random())))
+            self.check_against_referee(_testers(clustered_digraph(rng, n)))
+
+    @pytest.mark.parametrize("n, pairs", TestFlowIsRerouted.GRAPHS)
+    def test_rerouted_flow(self, n, pairs):
+        nodes = [Node(i) for i in range(1, n + 1)]
+        graph = DiagnosticGraph(nodes, [Edge(*pair) for pair in pairs])
+        self.check_against_referee(_testers(graph))
+
+    def test_expansion_of_localization(self):
+        self.check_against_referee(_testers(localization_expansion()))
+
+    def test_seed_is_a_lower_bound(self):
+        """1 + |T(v)| + |T(v) below v| <= f(W) for every W whose lowest
+        position is v, on every W of graphs of up to eight nodes."""
+        rng = random.Random(53)
+        for trial in range(300):
+            n = rng.randint(1, 8)
+            if trial % 2:
+                graph = clustered_digraph(rng, n)
+            else:
+                graph = random_digraph(rng, n, rng.random())
+            testers = _testers(graph)
+            for w in range(1, 1 << n):
+                v = (w & -w).bit_length() - 1
+                seed = 1 + len(testers[v]) + sum(u < v for u in testers[v])
+                assert seed <= f_of(graph, [x for x in range(n) if w >> x & 1])
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_complete_digraph_skips_every_cut(self, n):
+        """On K_n the seed of v is n + v, at least the limit 2c + 1 with
+        c = (n - 1) // 2, so each tester list is read once, for its seed."""
+
+        class Reads(list):
+            count = 0
+
+            def __getitem__(self, index):
+                self.count += 1
+                return super().__getitem__(index)
+
+        nodes = [Node(i) for i in range(1, n + 1)]
+        pairs = itertools.permutations(range(1, n + 1), 2)
+        graph = DiagnosticGraph(nodes, [Edge(*pair) for pair in pairs])
+        c = (n - 1) // 2
+        testers = Reads(_testers(graph))
+        assert _least_cut(testers, 2 * c + 1) == (2 * c + 1, [])
+        assert testers.count == n
+        assert max_diagnosability(graph).t_max == c
+
+
 class TestCutAgainstScan:
     """The cut's t_max, certificate and refutation against the literal
     condition-(iii) scan, level by level from the search ceiling down."""
@@ -321,12 +404,7 @@ class TestCutAgainstScan:
         Once vertices 555 and 556 are tested only by each other and by the
         same three vertices, W = {555, 556} has f(W) = 2 + 2·3 = 8, so t
         falls to 3 and the refutation at 4 is read off that W."""
-        flat = expand(
-            scenario("localization").graph,
-            100,
-            Interval(0, 1),
-            TemporalTemplate(offsets=frozenset({1, 2}), bidirectional=True),
-        ).flat_graph
+        flat = localization_expansion()
         assert flat.n == 1111
         result = max_diagnosability(flat)
         assert (result.t_max, result.ceiling, result.refutation) == (4, 4, None)
