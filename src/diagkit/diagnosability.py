@@ -210,12 +210,17 @@ def _least_cut(testers: list[list[int]], limit: int) -> tuple[int, list[int]]:
     Their 1 + |T(v)| + |T(v) below v| units bound the cut from below, since
     any W whose lowest position is v holds v and pays at least 1 per tester
     of v and 2 per tester below v; a cut whose seed reaches the best value
-    so far is skipped.  From the seed, unit paths are found by breadth-first
-    search from v, and the flow stops at the least value found so far; a
-    search that finds no path has reached exactly the W it cuts off, which
-    is the same for every maximum flow, so the seed leaves the minimiser
-    unchanged.  Each search stops at the first node with room to the sink,
-    so a cut explores only a neighbourhood of v.
+    so far is skipped.  Then each tester u above v takes a second unit,
+    v -> a_u -> u -> a_w -> w -> sink, through the first tester w of u with
+    room on a_w -> w and on w -> sink (any w below v; above v, a w not yet
+    in the flow).  The flow stays feasible: a_u -> u and a_w -> w carry at
+    most 2, each x >= v sends at most 1 unit to the sink, and u and a_w
+    pass on what they take in.  From there, unit paths are found by
+    breadth-first search from v, and the flow stops at the least value found
+    so far; a search that finds no path has reached exactly the W it cuts
+    off, which is the same for every maximum flow, so neither the seed nor
+    the second units change the minimiser.  Each search stops at the first
+    node with room to the sink, so a cut explores only a neighbourhood of v.
     """
     best, least = limit, []
     for v in range(len(testers)):
@@ -226,6 +231,19 @@ def _least_cut(testers: list[list[int]], limit: int) -> tuple[int, list[int]]:
         # u -> {x: units on x -> a_u}, and the x whose unit to the sink is taken.
         into = {u: {v: units} for u, units in through.items()}
         full = {v, *(u for u in testers[v] if u > v)}
+        for u in testers[v]:
+            if u < v or flow >= best:
+                continue
+            for w in testers[u]:
+                if through.get(w, 0) < 2 and (w < v or w not in full):
+                    into[u][v] += 1  # v -> a_u
+                    through[u] = 2  # a_u -> u
+                    units = into.setdefault(w, {})
+                    units[u] = units.get(u, 0) + 1  # u -> a_w
+                    through[w] = through.get(w, 0) + 1  # a_w -> w
+                    full.add(w)  # w -> sink
+                    flow += 1
+                    break
         while flow < best:
             # A node x >= 0 is a position; ~u < 0 is a_u.
             parent: dict[int, int | None] = {v: None}
@@ -352,7 +370,9 @@ class MaxDiagnosability:
             "t_max": self.t_max,
             "ceiling": self.ceiling,
             "certificate": self.certificate.to_json_dict(),
-            "refutation": self.refutation.to_json_dict() if self.refutation else None,
+            "refutation": (
+                None if self.refutation is None else self.refutation.to_json_dict()
+            ),
         }
 
 

@@ -44,6 +44,19 @@ class TestAnalyze:
         assert doc["witness"]["p"] == 1
         assert len(doc["witness"]["X"]) == 8
 
+    def test_localization_prints_its_refutation(self, capsys):
+        """t_max 1 is below the ceiling 2, so the JSON carries the
+        condition-(iii) witness at t = 2 (a failing certificate is falsy)."""
+        code, doc, _ = run_json(capsys, "analyze", "localization")
+        assert code == 0
+        assert (doc["t_max"], doc["ceiling"]) == (1, 2)
+        assert doc["refutation"] == {
+            "failed": "cond_iii",
+            "t": 2,
+            "verdict": "not_diagnosable",
+            "witness": {"p": 1, "X": [1, 2, 3, 4, 5, 8, 9, 10], "gamma": [11]},
+        }
+
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

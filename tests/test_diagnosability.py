@@ -97,6 +97,17 @@ class TestIsTDiagnosable:
             assert all(a or not b for a, b in zip(verdicts, verdicts[1:]))
 
 
+# (n, k) of the circulant graphs beyond the former cap of 24 nodes.
+CIRCULANTS = ((30, 5), (61, 30), (200, 7))
+
+
+def circulant(n, k):
+    """Node i tests the next k nodes round a cycle of n."""
+    nodes = [Node(i) for i in range(n)]
+    edges = [Edge(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)]
+    return DiagnosticGraph(nodes, edges)
+
+
 class TestMaxDiagnosability:
     def test_five_cycle(self, five_cycle):
         result = max_diagnosability(five_cycle)
@@ -130,10 +141,8 @@ class TestMaxDiagnosability:
         """There is none: a graph past the former cap of 24 nodes gets its
         exact t.  Node i tests the next k nodes round a cycle of n, which is
         k-diagnosable for n >= 2k + 1 (Preparata, Metze and Chien, 1967)."""
-        for n, k in ((30, 5), (61, 30), (200, 7)):
-            nodes = [Node(i) for i in range(n)]
-            edges = [Edge(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)]
-            result = max_diagnosability(DiagnosticGraph(nodes, edges))
+        for n, k in CIRCULANTS:
+            result = max_diagnosability(circulant(n, k))
             assert (result.t_max, result.ceiling, result.refutation) == (k, k, None)
 
     def test_empty_graph(self):
@@ -261,9 +270,20 @@ def localization_expansion():
     ).flat_graph
 
 
+class Reads(list):
+    """Tester lists that count how often a list is read."""
+
+    count = 0
+
+    def __getitem__(self, index):
+        self.count += 1
+        return super().__getitem__(index)
+
+
 class TestSeededCut:
-    """Each cut starts from its direct paths and is skipped when they reach
-    the best value so far; the cut from zero flow referees it."""
+    """Each cut starts from its direct paths, is skipped when they reach the
+    best value so far, and otherwise routes a second unit through each
+    tester above v before it searches; the cut from zero flow referees it."""
 
     def check_against_referee(self, testers):
         """Same value and same minimiser at every limit 1..n + 1.  Past
@@ -291,6 +311,51 @@ class TestSeededCut:
         graph = DiagnosticGraph(nodes, [Edge(*pair) for pair in pairs])
         self.check_against_referee(_testers(graph))
 
+    # Graphs on ids 0..n-1 whose minimiser the search finds only by going
+    # from x back to a_x, cancelling a unit on a_x -> x.  Without that step,
+    # seeded or not, the cut at limit 10 gives m = 9 with a W of f(W) = 11.
+    BACK_TO_A_X = [
+        (10, [(0, 2), (0, 3), (0, 4), (0, 6), (0, 8), (0, 9), (1, 0), (1, 2), (1, 3),
+              (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (2, 0), (2, 1), (2, 3),
+              (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 1), (3, 2), (3, 5), (3, 7),
+              (4, 0), (4, 1), (4, 2), (4, 3), (4, 8), (5, 3), (5, 6), (6, 2), (6, 4),
+              (6, 9), (7, 0), (7, 3), (7, 4), (7, 5), (7, 6), (7, 8), (7, 9), (8, 0),
+              (8, 1), (8, 5), (8, 7), (9, 2)]),
+        (9, [(0, 1), (0, 2), (0, 5), (0, 7), (0, 8), (1, 3), (1, 5), (2, 1), (2, 3),
+             (2, 6), (3, 0), (3, 1), (3, 4), (3, 5), (3, 6), (3, 7), (4, 0), (4, 1),
+             (4, 2), (4, 3), (4, 5), (4, 7), (4, 8), (5, 0), (5, 1), (5, 3), (5, 4),
+             (5, 8), (6, 2), (6, 7), (6, 8), (7, 0), (7, 2), (7, 3), (7, 4), (7, 6),
+             (8, 0), (8, 1), (8, 2), (8, 4), (8, 5), (8, 6), (8, 7)]),
+    ]
+
+    @pytest.mark.parametrize("n, pairs", BACK_TO_A_X)
+    def test_search_goes_back_to_a_x(self, n, pairs):
+        nodes = [Node(i) for i in range(n)]
+        graph = DiagnosticGraph(nodes, [Edge(*pair) for pair in pairs])
+        self.check_against_referee(_testers(graph))
+
+    def test_dense_graphs_of_fourteen_to_nineteen_nodes(self):
+        """Edge probabilities 0.5 to 0.85, as the benchmark draws them: here
+        nearly every tester above v takes a second unit."""
+        rng = random.Random(59)
+        for n in range(14, 20):
+            for _ in range(20):
+                graph = random_digraph(rng, n, rng.uniform(0.5, 0.85))
+                self.check_against_referee(_testers(graph))
+
+    @pytest.mark.parametrize("n, k", CIRCULANTS)
+    def test_circulant_graphs(self, n, k):
+        self.check_against_referee(_testers(circulant(n, k)))
+
+    def test_circulant_graph_runs_no_search(self):
+        """Node i tests i + 1..i + 3 of 30, limit 7.  v = 0, 1, 2 reach 7
+        with their seed and second units, reading testers[v] three times and
+        testers[u] once per second unit (3, 2 and 1 of them); every higher v
+        is skipped on its seed, one read each.  A search would read more."""
+        testers = Reads(_testers(circulant(30, 3)))
+        assert _least_cut(testers, 7) == (7, [])
+        assert testers.count == (3 + 3) + (3 + 2) + (3 + 1) + 27
+
     def test_expansion_of_localization(self):
         self.check_against_referee(_testers(localization_expansion()))
 
@@ -314,14 +379,6 @@ class TestSeededCut:
     def test_complete_digraph_skips_every_cut(self, n):
         """On K_n the seed of v is n + v, at least the limit 2c + 1 with
         c = (n - 1) // 2, so each tester list is read once, for its seed."""
-
-        class Reads(list):
-            count = 0
-
-            def __getitem__(self, index):
-                self.count += 1
-                return super().__getitem__(index)
-
         nodes = [Node(i) for i in range(1, n + 1)]
         pairs = itertools.permutations(range(1, n + 1), 2)
         graph = DiagnosticGraph(nodes, [Edge(*pair) for pair in pairs])
