@@ -319,11 +319,16 @@ def revalidate_certificate(
     """Re-check a certificate against the graph it was computed from.
 
     Failure witnesses are validated directly from adjacency queries;
-    passing certificates are re-derived by the minimum cut.
+    passing certificates are re-derived by the minimum cut.  A certificate
+    whose t is out of range for the graph, or whose witness names a node
+    the graph lacks, does not hold.
     """
     t = certificate.t
     if certificate.diagnosable:
-        _check_args(graph, t)
+        try:
+            _check_args(graph, t)
+        except ValueError:
+            return False
         return _least_cut(_testers(graph), 2 * t + 1)[0] > 2 * t
     witness = certificate.witness
     if certificate.failed_condition == "cond_i":
@@ -345,7 +350,10 @@ def revalidate_certificate(
         p = witness.p
         if not (0 <= p < t and len(witness.members) == graph.n - 2 * t + p):
             return False
-        reached = testable_set(graph, witness.members)
+        try:
+            reached = testable_set(graph, witness.members)
+        except ValueError:  # a member that is no node of the graph
+            return False
         return reached == witness.testable and len(reached) <= p
     return False
 

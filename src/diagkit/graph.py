@@ -1,4 +1,4 @@
-"""Core model: diagnostic graphs, syndromes, fault sets, consistency predicates.
+"""Core model: diagnostic graphs, syndromes, fault sets, the consistency predicate.
 
 A diagnostic graph is a directed graph whose nodes are the modules of a
 system and whose edge (i, j) records that module i runs a check against
@@ -298,21 +298,12 @@ class DiagnosticGraph(_Frozen):
     # -- bitmask adjacency ------------------------------------------------
 
     @cached_property
-    def tester_masks(self) -> tuple[int, ...]:
-        """Per position, bitmask of in-neighbours (the nodes testing it)."""
-        masks = [0] * self.n
-        bit = 1
-        for out in self.out_masks:
-            while out:
-                low = out & -out
-                masks[low.bit_length() - 1] |= bit
-                out ^= low
-            bit <<= 1
-        return tuple(masks)
-
-    @cached_property
     def in_degrees(self) -> tuple[int, ...]:
-        return tuple([mask.bit_count() for mask in self.tester_masks])
+        """Per position, the number of nodes that test it."""
+        degrees = [0] * self.n
+        for _, testee in self.position_pairs():
+            degrees[testee] += 1
+        return tuple(degrees)
 
     def position_pairs(self) -> Iterator[tuple[int, int]]:
         """(tester, testee) positions of every edge, in edge order."""
@@ -386,16 +377,16 @@ class Syndrome(_Frozen):
     ``1.0`` reads as 1, while ``0.7``, ``True`` and ``"1"`` are rejected.
     A syndrome can also be held as per-tester failed masks against one
     graph (:meth:`_from_masks`); ``outcomes`` is then built on first read,
-    for output only: the analyses read a syndrome through :func:`failed_masks`.
+    in edge order, for output only: the analyses read a syndrome through
+    :func:`failed_masks`.
     """
 
-    # Set on mask-held syndromes: the graph, per tester position the testees
-    # it failed, the (tester, testee) positions in reading order, and
-    # ``_held``, which makes it written as its failed tests.  A syndrome
-    # built from outcomes gets the first two from its first binding only.
+    # Set on mask-held syndromes: the graph, per tester position the testees it
+    # failed, and ``_held``, which makes it written as its failed tests.  A
+    # syndrome built from outcomes gets the first two from its first binding
+    # only.
     _graph: DiagnosticGraph | None = None
     _failed: tuple[int, ...] = ()
-    _order: Sequence[tuple[int, int]] | None = None
     _held = False
 
     __hash__ = None  # type: ignore[assignment]
@@ -419,31 +410,19 @@ class Syndrome(_Frozen):
         vars(self)["outcomes"] = MappingProxyType(normalized)
 
     @classmethod
-    def _from_masks(
-        cls,
-        graph: DiagnosticGraph,
-        failed: Sequence[int],
-        order: Sequence[tuple[int, int]] | None = None,
-    ) -> "Syndrome":
+    def _from_masks(cls, graph: DiagnosticGraph, failed: Sequence[int]) -> "Syndrome":
         """The syndrome over ``graph`` whose tester at position p fails the
-        testees in ``failed[p]``, a subset of ``graph.out_masks[p]``.
-
-        ``order`` lists every edge once, as (tester, testee) positions, in
-        the order ``outcomes`` should have; by default it is edge order.
-        """
+        testees in ``failed[p]``, a subset of ``graph.out_masks[p]``."""
         syndrome = cls.__new__(cls)
-        vars(syndrome).update(
-            _graph=graph, _failed=tuple(failed), _order=order, _held=True
-        )
+        vars(syndrome).update(_graph=graph, _failed=tuple(failed), _held=True)
         return syndrome
 
     @cached_property
     def outcomes(self) -> Mapping[tuple[NodeId, NodeId], int]:
         graph, failed = self._graph, self._failed
         ids = graph.node_ids
-        order = graph.position_pairs() if self._order is None else self._order
         return MappingProxyType(
-            {(ids[u], ids[v]): failed[u] >> v & 1 for u, v in order}
+            {(ids[u], ids[v]): failed[u] >> v & 1 for u, v in graph.position_pairs()}
         )
 
     def __eq__(self, other: object) -> bool:
@@ -458,7 +437,7 @@ class Syndrome(_Frozen):
         # A held syndrome travels as its graph and failed masks, so that it
         # is still written as its failed tests.
         if self._held:
-            return (type(self)._from_masks, (self._graph, self._failed, self._order))
+            return (type(self)._from_masks, (self._graph, self._failed))
         return (type(self), (dict(self.outcomes),))
 
     @classmethod
@@ -530,68 +509,13 @@ def tested_by(out_masks: Sequence[int], members: int) -> int:
     return reached
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Outcome of a consistency check, naming the first violated condition.
-
-    ``failed_condition`` is ``cond_i`` (fault budget exceeded) or
-    ``cond_ii`` (a failing check with both endpoints outside the set).
-    Condition (iii), that every check between two modules outside the set
-    passed, describes the same edges from the other side over a total
-    syndrome, so its violations are reported as ``cond_ii``.
-    """
-
-    consistent: bool
-    failed_condition: str | None = None
-    witness_edge: tuple[NodeId, NodeId] | None = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.consistent
-
-
-def is_consistent_fault_set(
-    graph: DiagnosticGraph,
-    syndrome: Syndrome,
-    fault_set: Iterable[NodeId],
-    t: int,
-) -> ConsistencyReport:
-    """Check the three consistency conditions for a fault hypothesis.
-
-    A set F is consistent with a syndrome at budget ``t`` when |F| <= t,
-    every failing check has an endpoint in F, and every check between two
-    modules outside F passed.
-    """
-    failed = failed_masks(graph, syndrome)
-    fault_mask = graph.mask_of(fault_set)
-    size = fault_mask.bit_count()
-    if size > t:
-        return ConsistencyReport(
-            False, "cond_i", None, f"|F| = {size} exceeds budget t = {t}"
-        )
-    # The first failing edge, in edge order, with both endpoints outside F.
-    for tester, flagged in enumerate(failed):
-        outside = 0 if fault_mask >> tester & 1 else flagged & ~fault_mask
-        if outside:
-            ids = graph.node_ids
-            u, v = ids[tester], ids[(outside & -outside).bit_length() - 1]
-            return ConsistencyReport(
-                False,
-                "cond_ii",
-                (u, v),
-                f"edge ({u}, {v}) failed but neither endpoint is in the fault set",
-            )
-    return ConsistencyReport(True)
-
-
 def pmc_compatible(
     graph: DiagnosticGraph, syndrome: Syndrome, fault_set: Iterable[NodeId]
 ) -> bool:
     """Strict compatibility: fault-free testers are truthful both ways.
 
     For every edge whose tester is outside the fault set, the outcome must
-    be 1 exactly when the testee is inside it.  This is strictly stronger
-    than :func:`is_consistent_fault_set` and is the semantics all
+    be 1 exactly when the testee is inside it.  This is the semantics all
     diagnosability and identification routines in this package rely on.
     """
     return pmc_fits(

@@ -231,8 +231,6 @@ def _read_rows(rows: list | tuple, graph: DiagnosticGraph | None) -> Syndrome:
     seen = [0] * len(out)  # per tester position, the testees that have a row
     others: dict[tuple[int, int], int | None] = {}  # rows naming no edge of graph
     bad = None  # the first row whose value is not 0 or 1
-    order = None  # (tester, testee) positions of the rows, once out of edge order
-    last = 0  # the tester position of the last row of an edge
     for row in rows:
         if row.__class__ is list and len(row) == 3:
             tester, testee, value = row
@@ -249,11 +247,6 @@ def _read_rows(rows: list | tuple, graph: DiagnosticGraph | None) -> Syndrome:
             have, bit = seen[u], 1 << v
             if have & bit:
                 raise SyndromeError(f"duplicate outcome for edge {(tester, testee)}")
-            if order is not None:
-                order.append((u, v))
-            elif have > bit or u < last:  # the first row out of edge order
-                order = [*mask_pairs(seen[: last + 1]), (u, v)]  # the rows so far
-            last = u
             seen[u] = have | bit
         elif (tester, testee) in others:
             raise SyndromeError(f"duplicate outcome for edge {(tester, testee)}")
@@ -277,7 +270,7 @@ def _read_rows(rows: list | tuple, graph: DiagnosticGraph | None) -> Syndrome:
         ids = graph.node_ids
         read = {(ids[u], ids[v]): 0 for u, v in mask_pairs(seen)}
         failed_masks(graph, Syndrome({**read, **others}))  # raises the coverage error
-    return Syndrome._from_masks(graph, failed, order)
+    return Syndrome._from_masks(graph, failed)
 
 
 def temporal_to_dict(graph: TemporalGraph) -> dict:

@@ -156,8 +156,7 @@ def _adversarial_syndrome(
             f"adversarial policy restricted to small graphs "
             f"(n <= {DEFAULT_ENUMERATION_CAP}, got {graph.n})"
         )
-    pairs = list(graph.position_pairs())
-    free = [(u, v) for u, v in pairs if fault_mask >> u & 1]
+    free = [(u, v) for u, v in graph.position_pairs() if fault_mask >> u & 1]
     if len(free) > ADVERSARIAL_FREE_EDGE_CAP:
         raise SizeCapError(
             f"adversarial policy restricted to {ADVERSARIAL_FREE_EDGE_CAP} "
@@ -168,15 +167,13 @@ def _adversarial_syndrome(
         0 if fault_mask >> u & 1 else row & fault_mask
         for u, row in enumerate(graph.out_masks)
     ]
-    # Outcomes list the forced edges first, then the free ones.
-    order = [(u, v) for u, v in pairs if not fault_mask >> u & 1] + free
     best: Syndrome | None = None
     best_count = -1
     for assignment in product((0, 1), repeat=len(free)):
         failed = list(forced)
         for (tester, testee), value in zip(free, assignment):
             failed[tester] |= value << testee
-        candidate = Syndrome._from_masks(graph, failed, order)
+        candidate = Syndrome._from_masks(graph, failed)
         count = len(_candidate_masks(graph, candidate, budget))
         if count > best_count:
             best, best_count = candidate, count

@@ -28,6 +28,16 @@ def iter_subsets(ids: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]]
         yield from itertools.combinations(ordered, size)
 
 
+def tester_masks(graph: DiagnosticGraph) -> list[int]:
+    """Per position, the bitmask of the positions that test it, read off
+    ``graph.edges`` one edge at a time: the referee for ``in_degrees``."""
+    pos = graph.positions
+    masks = [0] * graph.n
+    for edge in graph.edges:
+        masks[pos[edge.testee]] |= 1 << pos[edge.tester]
+    return masks
+
+
 def scan_cond_iii(graph: DiagnosticGraph, t: int) -> tuple[int, int] | None:
     """First failing (p, X mask) of condition (iii), by p and then X in
     ``itertools.combinations`` order: the literal subset scan."""

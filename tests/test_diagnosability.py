@@ -16,6 +16,7 @@ from conftest import (
 )
 from diagkit.diagnosability import (
     CondIIIWitness,
+    CondIIWitness,
     DiagnosabilityCertificate,
     Verdict,
     _least_cut,
@@ -34,7 +35,6 @@ from diagkit.graph import (
     Node,
     pmc_compatible,
     testable_set,
-    tested_by,
 )
 from diagkit.simulator import scenario
 from diagkit.temporal import Interval, TemporalTemplate, expand
@@ -137,6 +137,27 @@ class TestMaxDiagnosability:
         tampered = replace(result.refutation, witness=bad_witness)
         assert not revalidate_certificate(localization, tampered)
 
+    def test_certificates_that_do_not_fit_the_graph_do_not_hold(self, five_cycle):
+        # A t out of range, or a witness naming a node the graph lacks.
+        certificates = [
+            DiagnosabilityCertificate(5, Verdict.DIAGNOSABLE),
+            DiagnosabilityCertificate(-1, Verdict.DIAGNOSABLE),
+            DiagnosabilityCertificate(
+                1,
+                Verdict.NOT_DIAGNOSABLE,
+                "cond_ii",
+                CondIIWitness(node=99, in_degree=0),
+            ),
+            DiagnosabilityCertificate(
+                1,
+                Verdict.NOT_DIAGNOSABLE,
+                "cond_iii",
+                CondIIIWitness(0, frozenset({1, 2, 99}), frozenset()),
+            ),
+        ]
+        for certificate in certificates:
+            assert revalidate_certificate(five_cycle, certificate) is False
+
     def test_size_cap(self):
         """There is none: a graph past the former cap of 24 nodes gets its
         exact t.  Node i tests the next k nodes round a cycle of n, which is
@@ -186,9 +207,11 @@ class TestOracle:
 
 
 def f_of(graph, positions):
-    """f(W) = |W| + 2·|T(W) \\ W| for W given by its positions."""
+    """f(W) = |W| + 2·|T(W) \\ W| for W given by its positions, T(W) the
+    nodes that test a member of W."""
     w = sum(1 << x for x in positions)
-    return len(positions) + 2 * (tested_by(graph.tester_masks, w) & ~w).bit_count()
+    testers = sum(1 << u for u, row in enumerate(graph.out_masks) if row & w)
+    return len(positions) + 2 * (testers & ~w).bit_count()
 
 
 def least_f(graph):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CYCLE_PAIRS, cycle_syndrome, iter_subsets, random_digraph
+from conftest import (
+    CYCLE_PAIRS,
+    cycle_syndrome,
+    iter_subsets,
+    random_digraph,
+    tester_masks,
+)
 from diagkit.errors import GraphError, SyndromeError
 from diagkit.graph import (
     DiagnosticGraph,
@@ -14,11 +20,13 @@ from diagkit.graph import (
     EdgeKind,
     Node,
     Syndrome,
-    is_consistent_fault_set,
     min_in_degree,
     pmc_compatible,
     testable_set,
 )
+from diagkit.simulator import scenario
+from diagkit.temporal import Interval, TemporalTemplate, expand
+from test_runtime_path import gapped_base, random_expansion
 
 
 def complete_digraph(n: int) -> DiagnosticGraph:
@@ -110,6 +118,25 @@ class TestMinInDegree:
         with pytest.raises(GraphError, match="empty graph"):
             min_in_degree(DiagnosticGraph((), ()))
 
+    def test_in_degrees_count_the_testers_of_each_node(self):
+        rng = random.Random(53)
+        graphs = [
+            expand(
+                scenario("localization").graph,
+                100,
+                Interval(0, 1),
+                TemporalTemplate(offsets=frozenset({1, 2}), bidirectional=True),
+            ).flat_graph
+        ]
+        for _ in range(60):
+            graphs.append(random_digraph(rng, rng.randint(0, 9), rng.random()))
+            graphs.append(gapped_base(rng, rng.randint(1, 7), rng.random()))
+            graphs.append(random_expansion(rng, rng.randint(1, 4), 4).flat_graph)
+        assert graphs[0].n == 1_111
+        for graph in graphs:
+            want = [mask.bit_count() for mask in tester_masks(graph)]
+            assert list(graph.in_degrees) == want
+
 
 class TestTestableSet:
     def test_localization_pinned_subset(self, localization):
@@ -134,43 +161,32 @@ class TestTestableSet:
 
 
 class TestConsistentFaultSet:
+    """A fault set is consistent with a syndrome when every tester outside
+    it reports the truth: :func:`pmc_compatible`."""
+
     def test_single_fault_example(self, five_cycle):
-        report = is_consistent_fault_set(five_cycle, cycle_syndrome(0, 0, 0, 0, 1), {1}, 1)
-        assert report.consistent
+        assert pmc_compatible(five_cycle, cycle_syndrome(0, 0, 0, 0, 1), {1})
 
     def test_uncovered_failure(self, five_cycle):
-        report = is_consistent_fault_set(
-            five_cycle, cycle_syndrome(0, 0, 0, 0, 1), set(), 1
-        )
-        assert not report.consistent
-        assert report.failed_condition == "cond_ii"
-        assert report.witness_edge == (5, 1)
+        # (5, 1) failed with both endpoints outside the set.
+        assert not pmc_compatible(five_cycle, cycle_syndrome(0, 0, 0, 0, 1), set())
 
     def test_two_fault_example_matches_brute_force(self, five_cycle):
         syndrome = cycle_syndrome(0, 1, 0, 0, 1)
         members = frozenset({1, 3})
-        # brute-force re-check of the three conditions
-        failing = [pair for pair in CYCLE_PAIRS if syndrome.value(*pair) == 1]
-        assert len(members) <= 2
-        assert all(a in members or b in members for a, b in failing)
+        # brute-force re-check: each test run from outside the set fails
+        # exactly when its testee is in the set
         assert all(
-            syndrome.value(a, b) == 0
+            syndrome.value(a, b) == (b in members)
             for a, b in CYCLE_PAIRS
-            if a not in members and b not in members
+            if a not in members
         )
-        assert is_consistent_fault_set(five_cycle, syndrome, members, 2).consistent
-
-    def test_budget_violation(self, five_cycle):
-        report = is_consistent_fault_set(
-            five_cycle, cycle_syndrome(0, 0, 0, 0, 0), {1, 2}, 1
-        )
-        assert not report.consistent
-        assert report.failed_condition == "cond_i"
+        assert pmc_compatible(five_cycle, syndrome, members)
 
     def test_partial_syndrome_rejected(self, five_cycle):
         partial = Syndrome({(1, 2): 0})
         with pytest.raises(SyndromeError, match="every edge exactly once"):
-            is_consistent_fault_set(five_cycle, partial, set(), 1)
+            pmc_compatible(five_cycle, partial, set())
 
 
 class TestPmcCompatible:
@@ -205,9 +221,15 @@ class TestModelProperties:
     @given(graph_syndrome_faults())
     @settings(max_examples=200, deadline=None)
     def test_strict_compatibility_implies_consistency(self, case):
+        # A compatible fault set explains every failed test: each has an
+        # endpoint in the set.
         graph, syndrome, faults = case
         if pmc_compatible(graph, syndrome, faults):
-            assert is_consistent_fault_set(graph, syndrome, faults, len(faults))
+            assert all(
+                tester in faults or testee in faults
+                for (tester, testee), value in syndrome.outcomes.items()
+                if value
+            )
 
     @given(graph_syndrome_faults())
     @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@
 ``failed_masks`` is the only place a syndrome meets a graph: it returns the
 masks of a syndrome already held over that graph, and reads any other once,
 raising the coverage error when edges are missing or unknown.  Syndrome
-generation, the consistency predicates, identification, the search ceiling
+generation, the consistency predicate, identification, the search ceiling
 and audit work on ``node_ids``, ``out_masks`` and these masks, so a graph
 built from masks never builds its ``Node`` and ``Edge`` views for them.
 The helpers below are literal copies of the earlier per-edge code; the
@@ -20,13 +20,11 @@ from conftest import random_digraph
 from diagkit.diagnosability import common_syndrome, search_ceiling
 from diagkit.errors import GraphError, SizeCapError, SyndromeError
 from diagkit.graph import (
-    ConsistencyReport,
     DiagnosticGraph,
     Node,
     Syndrome,
     as_fraction,
     failed_masks,
-    is_consistent_fault_set,
     min_in_degree,
     pmc_compatible,
     testable_set,
@@ -107,27 +105,6 @@ def literal_adversarial(graph, members, policy):
     return best
 
 
-def literal_is_consistent(graph, syndrome, fault_set, t):
-    literal_require_total(dict(syndrome.outcomes), graph)
-    members = frozenset(fault_set)
-    graph.mask_of(members)
-    if len(members) > t:
-        return ConsistencyReport(
-            False, "cond_i", None, f"|F| = {len(members)} exceeds budget t = {t}"
-        )
-    for edge in graph.edges:
-        if syndrome.value(*edge.pair) == 1:
-            if edge.tester not in members and edge.testee not in members:
-                return ConsistencyReport(
-                    False,
-                    "cond_ii",
-                    edge.pair,
-                    f"edge ({edge.tester}, {edge.testee}) failed but neither "
-                    "endpoint is in the fault set",
-                )
-    return ConsistencyReport(True)
-
-
 def literal_failed(graph, outcomes):
     masks = [0] * graph.n
     pos = graph.positions
@@ -188,7 +165,6 @@ class TestViewFree:
                 report = node_status(flat, syndrome, 3)
                 assert report.verdict == verdict
                 assert pmc_compatible(flat, syndrome, faults)
-                assert is_consistent_fault_set(flat, syndrome, faults, 3)
         assert identify(flat, Syndrome.all_clear(flat), 1).fault_set == frozenset()
         assert search_ceiling(flat) == 4
         report = audit(temporal, syndromes[2], [Interval(0, 0)])
@@ -217,7 +193,6 @@ class TestOneBinder:
                 for call, *args in (
                     (syndrome.require_total, graph),
                     (pmc_compatible, graph, syndrome, []),
-                    (is_consistent_fault_set, graph, syndrome, [], 1),
                     (identify, graph, syndrome, 1),
                 ):
                     assert outcome_of(call, *args) == want
@@ -259,17 +234,6 @@ class TestOneBinder:
         assert CountedSyndrome.reads == reads
         assert list(syndrome.outcomes.items()) == list(outcomes.items())
 
-    def test_consistency_reports_match_the_literal_check(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            graph = gapped_base(rng, rng.randint(1, 7), rng.random())
-            syndrome = Syndrome({edge.pair: rng.randint(0, 1) for edge in graph.edges})
-            members = rng.sample(graph.node_ids, rng.randint(0, graph.n))
-            t = rng.randint(0, 4)
-            assert is_consistent_fault_set(graph, syndrome, members, t) == (
-                literal_is_consistent(graph, syndrome, members, t)
-            )
-
     def test_all_clear_is_held_over_its_graph(self, localization):
         clear = Syndrome.all_clear(localization)
         assert failed_masks(localization, clear) == (0,) * localization.n
@@ -309,7 +273,8 @@ class TestGeneratedSyndromes:
             policy = adversarial(rng.choice([None, 0, 1, 2, 3]))
             got = generate_syndrome(graph, faults, policy)
             want = literal_adversarial(graph, faults, policy)
-            assert list(got.outcomes.items()) == list(want.outcomes.items())
+            assert list(got.outcomes) == [edge.pair for edge in graph.edges]
+            assert got.outcomes == want.outcomes
             compared += 1
             most_free = max(most_free, free)
         assert most_free >= 5

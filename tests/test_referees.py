@@ -16,13 +16,7 @@ from diagkit.diagnosability import (
     search_ceiling,
 )
 from diagkit.errors import SizeCapError, SyndromeError
-from diagkit.graph import (
-    DiagnosticGraph,
-    Node,
-    Syndrome,
-    is_consistent_fault_set,
-    pmc_compatible,
-)
+from diagkit.graph import DiagnosticGraph, Node, Syndrome, pmc_compatible
 from diagkit.identification import all_consistent_fault_sets
 
 
@@ -98,16 +92,20 @@ class TestConsistentFaultSetsReferee:
             for syndrome in syndromes_for(rng, graph):
                 for combo in iter_subsets(graph.node_ids, 3):
                     members = frozenset(combo)
-                    report = is_consistent_fault_set(graph, syndrome, members, 3)
+                    # Every failed test has an endpoint in the set ...
                     covered = all(
                         edge.tester in members or edge.testee in members
                         for edge in graph.edges
                         if syndrome.value(*edge.pair)
                     )
-                    assert report.consistent == covered
-                    assert report.failed_condition in (None, "cond_ii")
-                    if literal_compatible(graph, syndrome, members):
-                        assert report.consistent
+                    # ... and every test run from outside it on a member failed.
+                    truthful = all(
+                        syndrome.value(*edge.pair)
+                        for edge in graph.edges
+                        if edge.tester not in members and edge.testee in members
+                    )
+                    compatible = pmc_compatible(graph, syndrome, members)
+                    assert compatible == (covered and truthful)
 
 
 class TestOracleReferee:
