@@ -168,7 +168,8 @@ class DiagnosticGraph(_Frozen):
     machine-word bitmasks; subset enumeration dominates the runtime of the
     analyses built on top of this type.  Every graph holds its ``node_ids``,
     ascending, and per position the bitmask of the positions it tests
-    (``out_masks``).  A graph built from nodes and edges also keeps both,
+    (``out_masks``) and the number of nodes that test it (``in_degrees``).
+    A graph built from nodes and edges also keeps its nodes and edges,
     sorted by id and by (tester, testee).  A graph built from masks
     (:meth:`_from_masks`) is valid by construction; its ``nodes`` and
     ``edges`` are views built on first read, with the same values and order.
@@ -176,6 +177,7 @@ class DiagnosticGraph(_Frozen):
 
     node_ids: tuple[NodeId, ...]
     out_masks: tuple[int, ...]
+    in_degrees: tuple[int, ...]
 
     # Set on mask-built graphs only: the node at a position, and the kind
     # of the edge between a tester and a testee position.
@@ -192,6 +194,7 @@ class DiagnosticGraph(_Frozen):
         ids = tuple([node.id for node in nodes])
         pos = {nid: p for p, nid in enumerate(ids)}
         masks = [0] * len(ids)
+        degrees = [0] * len(ids)
         valid = len(pos) == len(ids)
         for tester, testee in map(_BY_PAIR, edges):
             u, v = pos.get(tester), pos.get(testee)
@@ -199,6 +202,7 @@ class DiagnosticGraph(_Frozen):
                 valid = False
                 break
             masks[u] |= 1 << v
+            degrees[v] += 1
         if not valid:
             raise GraphError("; ".join(_violations(nodes, edges)))
         vars(self).update(
@@ -206,6 +210,7 @@ class DiagnosticGraph(_Frozen):
             edges=edges,
             node_ids=ids,
             out_masks=tuple(masks),
+            in_degrees=tuple(degrees),
             positions=MappingProxyType(pos),
         )
 
@@ -221,13 +226,15 @@ class DiagnosticGraph(_Frozen):
         cls,
         node_ids: Sequence[NodeId],
         out_masks: Sequence[int],
+        in_degrees: Sequence[int],
         node: Callable[[int], Node],
         kind: Callable[[int, int], EdgeKind],
     ) -> "DiagnosticGraph":
         """A graph that is valid by construction, from masks; nothing is checked.
 
-        ``node_ids`` must ascend and be non-negative, and ``out_masks[p]``
-        must hold only positions of the graph other than p.  ``node(p)``
+        ``node_ids`` must ascend and be non-negative, ``out_masks[p]``
+        must hold only positions of the graph other than p, and
+        ``in_degrees[p]`` must count the rows that hold p.  ``node(p)``
         gives the node at position p and ``kind(p, q)`` the kind of edge
         (p, q); both are called when ``nodes`` or ``edges`` is first read.
         """
@@ -235,6 +242,7 @@ class DiagnosticGraph(_Frozen):
         vars(graph).update(
             node_ids=tuple(node_ids),
             out_masks=tuple(out_masks),
+            in_degrees=tuple(in_degrees),
             _node=node,
             _kind=kind,
         )
@@ -296,14 +304,6 @@ class DiagnosticGraph(_Frozen):
         return digest.hexdigest()
 
     # -- bitmask adjacency ------------------------------------------------
-
-    @cached_property
-    def in_degrees(self) -> tuple[int, ...]:
-        """Per position, the number of nodes that test it."""
-        degrees = [0] * self.n
-        for _, testee in self.position_pairs():
-            degrees[testee] += 1
-        return tuple(degrees)
 
     def position_pairs(self) -> Iterator[tuple[int, int]]:
         """(tester, testee) positions of every edge, in edge order."""

@@ -1,15 +1,18 @@
 """Turning an observed syndrome into a verdict about which modules failed.
 
-The exact search branches on the lowest undecided module: it is either
-faulty, or fault-free, in which case every outcome it reported is taken at
-face value (unit propagation).  Outcomes are kept as bitmask rows per
-tester, and trusting modules applies their whole rows at once, a round at
-a time: the modules they failed become faulty, the modules they passed
-are trusted in the next round, and a module that ends up on both sides
-kills the branch.  Branches also die once more than t modules are
-assumed faulty, so the search is exact for every t and fast for the small
-budgets these graphs call for.  The search keeps its branches on an
-explicit stack, so graph size meets no recursion limit.
+The exact search runs over the suspects only: the ends of the failed
+tests and the modules with fewer than t testers, since no other module is
+faulty in any fault set of size <= t.  It branches on the lowest
+undecided suspect: it is either faulty, or fault-free, in which case every
+outcome it reported is taken at face value (unit propagation).  Outcomes
+are kept as bitmask rows per tester, and trusting modules applies their
+whole rows at once, a round at a time: the modules they failed become
+faulty, the modules they passed are trusted in the next round, and a
+module that ends up on both sides kills the branch.  Branches also die
+once more than t modules are assumed faulty, so the search is exact for
+every t and fast for the small budgets these graphs call for.  The search
+keeps its branches on an explicit stack, so graph size meets no recursion
+limit.
 """
 
 from __future__ import annotations
@@ -98,10 +101,43 @@ def _require_inputs(graph: DiagnosticGraph, syndrome: Syndrome, t: object) -> tu
 
 
 def _candidate_masks(graph: DiagnosticGraph, syndrome: Syndrome, t: int) -> list[int]:
-    """All fault sets of size <= t compatible with the syndrome, as bitmasks."""
+    """All fault sets of size <= t compatible with the syndrome, as bitmasks.
+
+    Only suspects can be faulty: the two ends of each failed test, and the
+    nodes with fewer than t testers.  A faulty node that no test failed was
+    passed by all its testers, so all of them lie too, which makes more
+    than t faults once it has t testers or more.  The search reads the
+    suspects' rows only, cut to the suspects.  A suspect with a tester
+    outside them is fault-free from the start: that tester is never faulty
+    and failed nothing, so it passed the suspect.
+    """
     failed = _require_inputs(graph, syndrome, t)
-    full = (1 << graph.n) - 1
-    passed = [out & ~flagged for out, flagged in zip(graph.out_masks, failed)]
+    out_masks, degrees = graph.out_masks, graph.in_degrees
+    suspects = 0
+    for tester in itertools.compress(range(graph.n), failed):
+        suspects |= failed[tester] | 1 << tester
+    if degrees and t > min(degrees):
+        for pos, degree in enumerate(degrees):
+            if degree < t:
+                suspects |= 1 << pos
+    passed: dict[int, int] = {}  # per suspect, the suspects it passed
+    inside: dict[int, int] = {}  # per suspect, its testers among the suspects
+    rest = suspects
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        tester = low.bit_length() - 1
+        cut = out_masks[tester] & suspects
+        passed[tester] = cut & ~failed[tester]
+        while cut:
+            low = cut & -cut
+            cut ^= low
+            testee = low.bit_length() - 1
+            inside[testee] = inside.get(testee, 0) + 1
+    trusted = 0
+    for pos in passed:
+        if degrees[pos] > inside.get(pos, 0):
+            trusted |= 1 << pos
 
     def propagate(in_mask: int, out_mask: int, pending: int) -> tuple[int, int] | None:
         """Trust every tester in ``pending``, one round at a time: apply the
@@ -123,11 +159,12 @@ def _candidate_masks(graph: DiagnosticGraph, syndrome: Syndrome, t: int) -> list
                 return None
         return in_mask, out_mask
 
+    start = propagate(0, trusted, trusted)
     found: list[int] = []
-    stack = [(0, 0)]
+    stack = [start] if start is not None else []
     while stack:
         in_mask, out_mask = stack.pop()
-        undecided = full & ~(in_mask | out_mask)
+        undecided = suspects & ~(in_mask | out_mask)
         if not undecided:
             found.append(in_mask)
             continue

@@ -140,16 +140,26 @@ class TemporalGraph:
         base, template, panes = self.base, self.template, self.panes
         width, count = base.n, len(panes)
         full = (1 << width) - 1
+        # Each pane that reaches another sends one tester to each vertex
+        # there, or a whole pane of them across modules; panes reached from
+        # as many panes share their in-degrees.
+        per_pane = 1 if template.base_identity_only else width
         rows: list[int] = []
+        degrees: list[int] = []
+        by_reach: dict[int, list[int]] = {}
         for index in range(count):
             start = index * width
-            # One bit at the start of every pane the template reaches.
-            column = 0
+            # One bit at the start of every pane the template reaches, and
+            # the number of panes that reach this one.
+            column = reached = 0
             for offset in template.offsets:
                 if index + offset < count:
                     column |= 1 << (start + offset * width)
-                if template.bidirectional and index >= offset:
-                    column |= 1 << (start - offset * width)
+                    reached += template.bidirectional
+                if index >= offset:
+                    reached += 1
+                    if template.bidirectional:
+                        column |= 1 << (start - offset * width)
             if template.base_identity_only:
                 rows.extend(
                     row << start | column << p for p, row in enumerate(base.out_masks)
@@ -157,6 +167,12 @@ class TemporalGraph:
             else:
                 spread = column * full  # every position of those panes
                 rows.extend(row << start | spread for row in base.out_masks)
+            pane_degrees = by_reach.get(reached)
+            if pane_degrees is None:
+                extra = reached * per_pane
+                pane_degrees = [degree + extra for degree in base.in_degrees]
+                by_reach[reached] = pane_degrees
+            degrees.extend(pane_degrees)
 
         base_ids, base_nodes = base.node_ids, base.nodes
         base_pos = base.positions
@@ -174,7 +190,9 @@ class TemporalGraph:
             (pane, i), (other, j) = divmod(tester, width), divmod(testee, width)
             return base_kinds[(i, j)] if pane == other else EdgeKind.TEMPORAL
 
-        return DiagnosticGraph._from_masks(range(count * width), rows, node, kind)
+        return DiagnosticGraph._from_masks(
+            range(count * width), rows, degrees, node, kind
+        )
 
     @cached_property
     def vertices(self) -> tuple[TemporalVertex, ...]:

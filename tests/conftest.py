@@ -30,12 +30,21 @@ def iter_subsets(ids: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]]
 
 def tester_masks(graph: DiagnosticGraph) -> list[int]:
     """Per position, the bitmask of the positions that test it, read off
-    ``graph.edges`` one edge at a time: the referee for ``in_degrees``."""
+    ``graph.edges`` one edge at a time."""
     pos = graph.positions
     masks = [0] * graph.n
     for edge in graph.edges:
         masks[pos[edge.testee]] |= 1 << pos[edge.tester]
     return masks
+
+
+def count_in_degrees(graph: DiagnosticGraph) -> list[int]:
+    """Per position, the number of nodes that test it, counted one
+    ``position_pairs()`` pair at a time: the referee for ``in_degrees``."""
+    degrees = [0] * graph.n
+    for _, testee in graph.position_pairs():
+        degrees[testee] += 1
+    return degrees
 
 
 def scan_cond_iii(graph: DiagnosticGraph, t: int) -> tuple[int, int] | None:

@@ -1,6 +1,7 @@
 """Core graph model: validation, degrees, testable sets, consistency."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CYCLE_PAIRS,
+    count_in_degrees,
     cycle_syndrome,
     iter_subsets,
     random_digraph,
@@ -25,7 +27,7 @@ from diagkit.graph import (
     testable_set,
 )
 from diagkit.simulator import scenario
-from diagkit.temporal import Interval, TemporalTemplate, expand
+from diagkit.temporal import Interval, TemporalTemplate, expand, restrict
 from test_runtime_path import gapped_base, random_expansion
 
 
@@ -135,7 +137,46 @@ class TestMinInDegree:
         assert graphs[0].n == 1_111
         for graph in graphs:
             want = [mask.bit_count() for mask in tester_masks(graph)]
-            assert list(graph.in_degrees) == want
+            assert list(graph.in_degrees) == want == count_in_degrees(graph)
+
+    def test_flat_in_degrees_follow_the_template(self):
+        # Flat graphs count their in-degrees from the template, not from
+        # their rows: every template shape, offsets reaching past the last
+        # pane, restrictions to an inner run and to no pane at all.
+        rng = random.Random(67)
+        seen = {
+            (bidirectional, identity): 0
+            for bidirectional in (False, True)
+            for identity in (False, True)
+        }
+        seen.update(beyond=0, restricted=0, empty=0)
+        for _ in range(200):
+            base = gapped_base(rng, rng.randint(1, 5), rng.random())
+            template = TemporalTemplate(
+                offsets=frozenset(rng.sample(range(1, 7), rng.randint(1, 3))),
+                bidirectional=rng.random() < 0.5,
+                base_identity_only=rng.random() < 0.5,
+            )
+            panes = rng.randint(1, 5)
+            temporal = expand(base, 10, Interval(0, Fraction(panes - 1, 10)), template)
+            views = [temporal]
+            if panes > 2:
+                lo = rng.randrange(1, panes - 1)
+                hi = rng.randrange(lo, panes - 1)
+                views.append(
+                    restrict(temporal, Interval(Fraction(lo, 10), Fraction(hi, 10)))
+                )
+            if panes > 1:  # strictly between the first two pane times
+                gap = Interval(Fraction(1, 30), Fraction(2, 30))
+                views.append(restrict(temporal, gap))
+            for view in views:
+                flat = view.flat_graph
+                assert list(flat.in_degrees) == count_in_degrees(flat)
+                seen[template.bidirectional, template.base_identity_only] += 1
+                seen["beyond"] += max(template.offsets) >= len(view.panes) > 0
+                seen["restricted"] += view is not temporal and bool(view.panes)
+                seen["empty"] += not view.panes
+        assert all(seen.values()), seen
 
 
 class TestTestableSet:

@@ -2,10 +2,17 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import cycle_syndrome, iter_subsets, random_digraph
+from conftest import (
+    clustered_digraph,
+    count_in_degrees,
+    cycle_syndrome,
+    iter_subsets,
+    random_digraph,
+)
 from diagkit.diagnosability import max_diagnosability
 from diagkit.errors import SizeCapError, SyndromeError
 from diagkit.graph import (
@@ -21,6 +28,8 @@ from diagkit.identification import (
     identify,
     node_status,
 )
+from diagkit.simulator import adversarial, bernoulli, generate_syndrome, scenario
+from diagkit.temporal import Interval, expand, restrict
 
 
 def random_syndrome(rng, graph):
@@ -193,3 +202,98 @@ class TestMonotonicityInBudget:
                 current = set(all_consistent_fault_sets(g, syndrome, t))
                 assert previous <= current
                 previous = current
+
+
+class TestNothingToIdentify:
+    """A graph without nodes has one candidate, the empty set, at every t."""
+
+    def check_unique_empty(self, graph):
+        for t in (0, 1, 5):
+            syndrome = Syndrome.all_clear(graph)
+            verdict = identify(graph, syndrome, t)
+            assert verdict.kind is VerdictKind.UNIQUE
+            assert verdict.fault_set == frozenset()
+            report = node_status(graph, syndrome, t)
+            assert report.verdict == verdict
+            assert dict(report.statuses) == {}
+
+    def test_empty_graph(self):
+        self.check_unique_empty(DiagnosticGraph.build([], []))
+
+    def test_window_without_panes(self):
+        base = scenario("pane_100hz").graph
+        temporal = expand(base, 100, Interval(0, Fraction(2, 100)))
+        # Strictly between the first two pane times: no pane.
+        empty = restrict(temporal, Interval(Fraction(1, 300), Fraction(2, 300)))
+        assert not empty.panes
+        self.check_unique_empty(empty.flat_graph)
+
+
+def referee_statuses(graph, candidates):
+    """Per node id, its status across a referee's candidate list."""
+    if not candidates:
+        return dict.fromkeys(graph.node_ids, NodeStatus.UNKNOWN)
+    statuses = {}
+    for nid in graph.node_ids:
+        holding = sum(nid in candidate for candidate in candidates)
+        if holding == len(candidates):
+            statuses[nid] = NodeStatus.KNOWN_FAULTY
+        elif holding:
+            statuses[nid] = NodeStatus.UNKNOWN
+        else:
+            statuses[nid] = NodeStatus.KNOWN_FAULT_FREE
+    return statuses
+
+
+class TestSuspects:
+    """Only suspects can be faulty: the ends of failed tests and the nodes
+    with fewer than t testers.  The search visits no other node, so it is
+    held to the brute-force referee at every t, on syndromes that put the
+    lemma's cases in play: weak nodes that no test failed, suspects passed
+    by a node outside the suspects, and outcomes chosen to confuse."""
+
+    def syndromes(self, rng, graph):
+        yield random_syndrome(rng, graph)
+        faults = rng.sample(graph.node_ids, rng.randint(0, min(3, graph.n)))
+        yield generate_syndrome(graph, faults, bernoulli(0.5), rng.getrandbits(32))
+        few = rng.sample(graph.node_ids, rng.randint(0, min(2, graph.n)))
+        free = sum(edge.tester in few for edge in graph.edges)
+        if free <= 6:
+            yield generate_syndrome(graph, few, adversarial(rng.randint(0, 3)))
+
+    def test_candidates_lie_within_the_suspects(self):
+        rng = random.Random(71)
+        seen = {"weak suspect faulty": 0, "cleared suspect": 0, "ambiguous": 0}
+        for index in range(160):
+            n = rng.randint(1, 12)
+            if index % 2:
+                graph = clustered_digraph(rng, n)
+            else:
+                graph = random_digraph(rng, n, rng.uniform(0.05, 0.6))
+            degrees = dict(zip(graph.node_ids, count_in_degrees(graph)))
+            for syndrome in self.syndromes(rng, graph):
+                ends = {
+                    member
+                    for pair, value in syndrome.outcomes.items()
+                    if value
+                    for member in pair
+                }
+                referee = all_consistent_fault_sets(graph, syndrome, graph.n)
+                for t in range(graph.n + 1):
+                    candidates = [c for c in referee if len(c) <= t]
+                    suspects = ends | {v for v in graph.node_ids if degrees[v] < t}
+                    for candidate in candidates:
+                        assert candidate <= suspects
+                        seen["weak suspect faulty"] += bool(candidate - ends)
+                    seen["cleared suspect"] += any(
+                        edge.tester not in suspects and edge.testee in suspects
+                        for edge in graph.edges
+                    )
+                    verdict = identify(graph, syndrome, t, candidate_limit=10_000)
+                    assert list(verdict.candidates) == candidates
+                    assert verdict.candidate_count == len(candidates)
+                    seen["ambiguous"] += verdict.kind is VerdictKind.AMBIGUOUS
+                    report = node_status(graph, syndrome, t, candidate_limit=10_000)
+                    assert report.verdict == verdict
+                    assert dict(report.statuses) == referee_statuses(graph, candidates)
+        assert all(seen.values()), seen
