@@ -16,8 +16,8 @@ W and T(W) their testers, computed by minimum cuts in polynomial time
 (Sullivan, FOCS 1984; Hakimi & Amin, IEEE Trans. Computers C-23(1), 1974);
 the set W that attains m, read as a condition-(iii) witness, refutes
 t(D) + 1.  Alongside lives a definition-level brute-force oracle that
-searches for two small fault sets sharing a syndrome; it and the checker
-must always agree, and the test suite holds them to that.
+scans the unions of two small fault sets for a pair sharing a syndrome; it
+and the checker must always agree, and the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -463,17 +463,38 @@ def _shared_syndrome(graph: DiagnosticGraph, mask_a: int, mask_b: int) -> Syndro
     return Syndrome._from_masks(graph, failed)
 
 
+def _some_union_collides(bits: list[int], from_outside: list[int], t: int) -> bool:
+    """Whether some union U of at most 2t positions has d >= 1 and
+    |Z| + ⌈d/2⌉ <= t, that is |Z| < |U| and |U| + |Z| <= 2t, where
+    Z = U & from_outside[U] and d = |U| - |Z|."""
+    for size in range(1, min(2 * t, len(bits)) + 1):
+        room = min(size - 1, 2 * t - size)  # the most |Z| may be
+        for union in map(sum, itertools.combinations(bits, size)):
+            if (union & from_outside[union]).bit_count() <= room:
+                return True
+    return False
+
+
 def oracle_is_t_diagnosable(
     graph: DiagnosticGraph, t: int, *, cap: int = DEFAULT_ORACLE_CAP
 ) -> OracleResult:
     """Brute-force referee for :func:`is_t_diagnosable`.
 
-    Enumerates every pair of distinct fault sets of size at most t (by size,
-    then lexicographically) and reports the first pair admitting a shared
-    syndrome: A and B admit one exactly when no node on which they disagree
-    is tested from outside A | B.  Exponential by design, in memory too (the
-    pair test reads a table of 2**n entries); it exists to referee the
-    checker, not to replace it.
+    Two distinct fault sets A and B of size at most t admit a shared
+    syndrome exactly when no node on which they disagree is tested from
+    outside their union U = A | B.  The verdict comes from a scan of every
+    U of at most 2t nodes, by size:
+
+      Z = U & from_outside[U], the nodes of U tested from outside U, must
+      lie in A & B; the d = |U| - |Z| other nodes can be split between A
+      and B; so some pair with union U collides iff d >= 1 and
+      |Z| + ⌈d/2⌉ <= t.
+
+    Only when some U collides are the pairs of distinct fault sets of size
+    at most t walked (by size, then lexicographically), to report the first
+    one admitting a shared syndrome.  Exponential by design, in memory too
+    (both read a table of 2**n entries); it exists to referee the checker,
+    not to replace it.
     """
     n = _check_args(graph, t)
     if n > cap:
@@ -485,14 +506,16 @@ def oracle_is_t_diagnosable(
     # Positions ascend with ids, so combinations of the bits come by size,
     # then lexicographically.
     bits = [1 << pos for pos in range(n)]
-    subsets = [
-        sum(combo) for size in range(t + 1) for combo in itertools.combinations(bits, size)
-    ]
     # from_outside[U]: the nodes tested by some node outside U.  Each node
     # doubles the table; the sets without it (the lower half) gain its tests.
     from_outside = [0]
     for out in graph.out_masks:
         from_outside = [reached | out for reached in from_outside] + from_outside
+    if not _some_union_collides(bits, from_outside, t):
+        return OracleResult(t=t, diagnosable=True, counterexample=None)
+    subsets = [
+        sum(combo) for size in range(t + 1) for combo in itertools.combinations(bits, size)
+    ]
     for index, mask_a in enumerate(subsets):
         for mask_b in itertools.islice(subsets, index + 1, None):
             if not (mask_a ^ mask_b) & from_outside[mask_a | mask_b]:
@@ -505,4 +528,4 @@ def oracle_is_t_diagnosable(
                         _shared_syndrome(graph, mask_a, mask_b),
                     ),
                 )
-    return OracleResult(t=t, diagnosable=True, counterexample=None)
+    raise AssertionError(f"a union collides at t = {t} but no pair does")

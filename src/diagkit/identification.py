@@ -86,10 +86,9 @@ class StatusReport:
     verdict: DiagnosisVerdict
 
     def to_json_dict(self) -> dict:
-        # ``_value_`` is a plain attribute; ``value`` is a property.
-        return {
-            str(nid): status._value_ for nid, status in sorted(self.statuses.items())
-        }
+        # ``_value_`` is a plain attribute; ``value`` is a property.  Key
+        # order is left to the writer: ``jsonio.dump_json`` sorts the keys.
+        return {str(nid): status._value_ for nid, status in self.statuses.items()}
 
 
 def _require_inputs(graph: DiagnosticGraph, syndrome: Syndrome, t: object) -> tuple:

@@ -129,6 +129,26 @@ def unseeded_least_cut(testers: list[list[int]], limit: int) -> tuple[int, list[
     return best, least
 
 
+def pair_loop_oracle(graph: DiagnosticGraph, t: int) -> tuple[int, int] | None:
+    """The first pair of distinct fault-set masks of size at most t that
+    admit a shared syndrome, by size and then lexicographically, or None:
+    ``oracle_is_t_diagnosable`` as it was before it scanned unions, every
+    ordered pair tried one by one.  The referee for the union scan, which
+    must give the same verdict and the same pair."""
+    bits = [1 << pos for pos in range(graph.n)]
+    subsets = [
+        sum(combo) for size in range(t + 1) for combo in itertools.combinations(bits, size)
+    ]
+    from_outside = [0]
+    for out in graph.out_masks:
+        from_outside = [reached | out for reached in from_outside] + from_outside
+    for index, mask_a in enumerate(subsets):
+        for mask_b in itertools.islice(subsets, index + 1, None):
+            if not (mask_a ^ mask_b) & from_outside[mask_a | mask_b]:
+                return mask_a, mask_b
+    return None
+
+
 def random_digraph(rng: random.Random, n: int, p: float) -> DiagnosticGraph:
     """Loop-free digraph on ids 1..n with independent edge probability p."""
     nodes = tuple(Node(i) for i in range(1, n + 1))

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     clustered_digraph,
     cycle_syndrome,
+    pair_loop_oracle,
     random_digraph,
     scan_cond_iii,
     scan_t_max,
@@ -204,6 +205,73 @@ class TestOracle:
         g = DiagnosticGraph.build([Node(i) for i in range(1, 16)], [])
         with pytest.raises(SizeCapError, match="oracle restricted to small graphs"):
             oracle_is_t_diagnosable(g, 1)
+
+
+def edgeless(n):
+    return DiagnosticGraph([Node(i) for i in range(1, n + 1)], [])
+
+
+def complete_digraph(n):
+    ids = range(1, n + 1)
+    return DiagnosticGraph(
+        [Node(i) for i in ids], [Edge(i, j) for i in ids for j in ids if i != j]
+    )
+
+
+def guarded_clique(d):
+    """A complete digraph D on 1..d; a node z = d + 1 that tests all of D;
+    a complete digraph Y on d + 2..2d + 1 whose members test z and are
+    tested by every node outside Y.  The first union to collide is D ∪ {z},
+    with Z = {z}: only Y tests z from outside it."""
+    z, ids = d + 1, range(1, 2 * d + 2)
+    edges = [Edge(i, j) for i in ids for j in ids if i != j and (
+        (j <= d and i <= z) or (j == z and i > z) or j > z
+    )]
+    return DiagnosticGraph([Node(i) for i in ids], edges)
+
+
+class TestOracleUnionStep:
+    """The step |Z| + ⌈d/2⌉ <= t of the oracle's union scan, on both sides,
+    for d odd and even.  An edgeless graph on d nodes has Z empty for every
+    union, so at t = ⌈d/2⌉ and one below alike the single node collides
+    first.  In a complete digraph on d nodes only the whole node set escapes
+    outside tests (Z empty).  In a guarded clique Z = {z} and d = |D|.  In
+    the five-cycle, {5, 1} collides with Z = {5} and d = 1."""
+
+    @staticmethod
+    def check(graph, t, diagnosable):
+        result = oracle_is_t_diagnosable(graph, t)
+        assert result.diagnosable == diagnosable
+        assert is_t_diagnosable(graph, t).diagnosable == diagnosable
+        expected = pair_loop_oracle(graph, t)
+        if diagnosable:
+            assert expected is None and result.counterexample is None
+        else:
+            pair = result.counterexample
+            assert (pair.fault_set_a, pair.fault_set_b) == tuple(
+                map(graph.ids_of, expected)
+            )
+
+    @pytest.mark.parametrize(
+        "build, d, t, diagnosable",
+        [(edgeless, d, t, False) for d in (5, 6) for t in (2, 3)]
+        + [(complete_digraph, d, t, t < 3) for d in (5, 6) for t in (2, 3)]
+        + [(guarded_clique, d, t, t < 4) for d in (5, 6) for t in (3, 4)],
+    )
+    def test_boundary(self, build, d, t, diagnosable):
+        self.check(build(d), t, diagnosable)
+
+    def test_five_cycle(self, five_cycle):
+        self.check(five_cycle, 1, True)
+        self.check(five_cycle, 2, False)
+
+    def test_dense_graph_of_fourteen_nodes_at_its_ceiling(self):
+        graph = random_digraph(random.Random(5), 14, 0.9)
+        ceiling = search_ceiling(graph)
+        assert ceiling == 6
+        # Every union of up to 12 of the 14 nodes is scanned.
+        assert oracle_is_t_diagnosable(graph, ceiling).diagnosable
+        assert is_t_diagnosable(graph, ceiling).diagnosable
 
 
 def f_of(graph, positions):

@@ -2,14 +2,17 @@
 
 ``all_consistent_fault_sets`` and ``oracle_is_t_diagnosable`` test each
 candidate on bitmasks.  The loops below spell each definition out over node
-ids and edges instead, so the referees stay held to the model itself.
+ids and edges instead, so the referees stay held to the model itself.  The
+oracle decides its verdict from unions of fault sets; on graphs past the
+literal loops' reach it is held to its earlier pair loop
+(``conftest.pair_loop_oracle``).
 """
 
 import random
 
 import pytest
 
-from conftest import iter_subsets, random_digraph
+from conftest import clustered_digraph, iter_subsets, pair_loop_oracle, random_digraph
 from diagkit.diagnosability import (
     common_syndrome,
     oracle_is_t_diagnosable,
@@ -142,6 +145,31 @@ class TestOracleReferee:
                 assert pair.syndrome == forced_outcomes(graph, *expected)
                 assert pair.syndrome == common_syndrome(graph, *expected)
         assert refuted > 100
+
+    def test_union_scan_matches_the_pair_loop_from_nine_to_twelve_nodes(self):
+        rng = random.Random(2020)
+        refuted = decided_by_scan = 0
+        for index in range(40):
+            n = rng.randint(9, 12)
+            graph = (
+                clustered_digraph(rng, n) if index % 2
+                else random_digraph(rng, n, rng.random())
+            )
+            for t in range(min(search_ceiling(graph) + 2, graph.n)):
+                expected = pair_loop_oracle(graph, t)
+                result = oracle_is_t_diagnosable(graph, t)
+                assert result.t == t
+                assert result.diagnosable == (expected is None)
+                if expected is None:
+                    assert result.counterexample is None
+                    decided_by_scan += t > 0
+                    continue
+                refuted += 1
+                a, b = map(graph.ids_of, expected)
+                pair = result.counterexample
+                assert (pair.fault_set_a, pair.fault_set_b) == (a, b)
+                assert pair.syndrome == common_syndrome(graph, a, b)
+        assert refuted > 40 and decided_by_scan > 70
 
 
 class TestRefereeErrors:
