@@ -191,7 +191,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(rendered)
     flat = expansion.flat_graph
-    edge_count = sum(row.bit_count() for row in flat.out_masks)
+    edge_count = sum(flat.in_degrees)
     human = (
         f"expanded to {len(expansion.panes)} panes, {flat.n} vertices, "
         f"{edge_count} edges"

@@ -133,7 +133,7 @@ def _cond_iii_witness(graph: DiagnosticGraph, t: int) -> CondIIIWitness | None:
     Γ(P) above its last position, exceeds p.
     """
     n = graph.n
-    out_masks = graph.out_masks
+    out_masks = tuple(graph.out_masks)
     for p in range(t):
         size = n - 2 * t + p
         if size <= 0:  # unreachable once condition (i) holds
@@ -308,7 +308,7 @@ def _refutation(
     outside = tested & ~inside
     members = ((1 << graph.n) - 1) & ~(inside | outside)
     p = 2 * t - len(least) - outside.bit_count()
-    testable = tested_by(graph.out_masks, members) & ~members
+    testable = tested_by(tuple(graph.out_masks), members) & ~members
     witness = CondIIIWitness(p, graph.ids_of(members), graph.ids_of(testable))
     return DiagnosabilityCertificate(t, Verdict.NOT_DIAGNOSABLE, "cond_iii", witness)
 
@@ -443,7 +443,7 @@ def common_syndrome(
     mask_a = graph.mask_of(fault_a)
     mask_b = graph.mask_of(fault_b)
     outside = ((1 << graph.n) - 1) & ~(mask_a | mask_b)
-    if (mask_a ^ mask_b) & tested_by(graph.out_masks, outside):
+    if (mask_a ^ mask_b) & tested_by(tuple(graph.out_masks), outside):
         return None
     return _shared_syndrome(graph, mask_a, mask_b)
 

@@ -9,7 +9,10 @@ checks run by faulty modules carry no information at all.
 Every analysis reads a graph's ``node_ids`` and ``out_masks`` and a
 syndrome's per-tester masks of failed testees, which :func:`failed_masks`
 binds to a graph in one step.  The ``Node``, ``Edge`` and outcome objects
-of a graph or syndrome built from masks are made only for output.
+of a graph or syndrome built from masks are made only for output.  A flat
+graph computes each row of ``out_masks`` when it is read, so code that
+reads every row takes them at once, as ``tuple(graph.out_masks)``: a built
+graph's own tuple, or one full pass of a flat graph's rows.
 
 All types here are immutable after construction and every operation is a
 pure function, so everything is safe to share across threads.
@@ -171,18 +174,20 @@ class DiagnosticGraph(_Frozen):
     (``out_masks``) and the number of nodes that test it (``in_degrees``).
     A graph built from nodes and edges also keeps its nodes and edges,
     sorted by id and by (tester, testee).  A graph built from masks
-    (:meth:`_from_masks`) is valid by construction; its ``nodes`` and
-    ``edges`` are views built on first read, with the same values and order.
+    (:meth:`_from_masks`) is valid by construction and made from a recipe;
+    its ``out_masks`` may be any sequence, and its ``nodes`` and ``edges``
+    are views built on first read, with the same values and order.
     """
 
     node_ids: tuple[NodeId, ...]
-    out_masks: tuple[int, ...]
+    out_masks: Sequence[int]
     in_degrees: tuple[int, ...]
 
-    # Set on mask-built graphs only: the node at a position, and the kind
-    # of the edge between a tester and a testee position.
+    # Set on mask-built graphs only: the node at a position, the kind of the
+    # edge between a tester and a testee position, and the recipe.
     _node: Callable[[int], Node] | None = None
     _kind: Callable[[int, int], EdgeKind] | None = None
+    _recipe: object = None
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]) -> None:
         nodes = tuple(sorted(nodes, key=_BY_ID))
@@ -229,6 +234,7 @@ class DiagnosticGraph(_Frozen):
         in_degrees: Sequence[int],
         node: Callable[[int], Node],
         kind: Callable[[int, int], EdgeKind],
+        recipe: object,
     ) -> "DiagnosticGraph":
         """A graph that is valid by construction, from masks; nothing is checked.
 
@@ -237,14 +243,18 @@ class DiagnosticGraph(_Frozen):
         ``in_degrees[p]`` must count the rows that hold p.  ``node(p)``
         gives the node at position p and ``kind(p, q)`` the kind of edge
         (p, q); both are called when ``nodes`` or ``edges`` is first read.
+        ``recipe`` is what the graph is made from: the graph pickles as the
+        recipe, whose ``flat_graph`` rebuilds it, and its fingerprint hashes
+        ``recipe.fingerprint_text()``.
         """
         graph = cls.__new__(cls)
         vars(graph).update(
             node_ids=tuple(node_ids),
-            out_masks=tuple(out_masks),
+            out_masks=out_masks,
             in_degrees=tuple(in_degrees),
             _node=node,
             _kind=kind,
+            _recipe=recipe,
         )
         return graph
 
@@ -261,7 +271,9 @@ class DiagnosticGraph(_Frozen):
         return f"{name}(nodes={self.nodes!r}, edges={self.edges!r})"
 
     def __reduce__(self) -> tuple:
-        # Pickled and copied by value, so a mask-built graph travels too.
+        # A mask-built graph travels as its recipe, any other by value.
+        if self._recipe is not None:
+            return (getattr, (self._recipe, "flat_graph"))
         return (type(self), (self.nodes, self.edges))
 
     # -- views of a mask-built graph ----------------------------------------
@@ -295,8 +307,13 @@ class DiagnosticGraph(_Frozen):
         Labels, edge kinds and rates are left out.  The ids, a semicolon and
         the ``out_masks`` are hashed as lowercase hex numbers, each followed
         by a comma, so the digest is the same in every process and Python
-        version.  Syndrome files name their graph by it.
+        version.  A mask-built graph hashes its recipe's tagged text
+        instead, which holds no row; it never equals the digest of rows.
+        Syndrome files name their graph by it.
         """
+        if self._recipe is not None:
+            text = self._recipe.fingerprint_text()
+            return hashlib.sha256(text.encode()).hexdigest()
         row = b"%x," * self.n
         digest = hashlib.sha256(row % self.node_ids)
         digest.update(b";")
@@ -434,10 +451,10 @@ class Syndrome(_Frozen):
         return f"{type(self).__qualname__}(outcomes={self.outcomes!r})"
 
     def __reduce__(self) -> tuple:
-        # A held syndrome travels as its graph and failed masks, so that it
-        # is still written as its failed tests.
+        # A held syndrome travels as its graph and the positions of its
+        # failed tests, so that it is still written as its failed tests.
         if self._held:
-            return (type(self)._from_masks, (self._graph, self._failed))
+            return (_held_syndrome, (self._graph, list(mask_pairs(self._failed))))
         return (type(self), (dict(self.outcomes),))
 
     @classmethod
@@ -456,6 +473,15 @@ class Syndrome(_Frozen):
     def require_total(self, graph: DiagnosticGraph) -> None:
         """Raise unless this syndrome covers every edge of ``graph`` exactly."""
         failed_masks(graph, self)
+
+
+def _held_syndrome(graph: DiagnosticGraph, pairs: list[tuple[int, int]]) -> Syndrome:
+    """The syndrome held over ``graph`` that fails the tests at the (tester,
+    testee) positions in ``pairs``; how a pickled held syndrome is read."""
+    failed = [0] * graph.n
+    for u, v in pairs:
+        failed[u] |= 1 << v
+    return Syndrome._from_masks(graph, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +507,8 @@ def testable_set(graph: DiagnosticGraph, members: Iterable[NodeId]) -> frozenset
     This is the out-neighbourhood of the set, minus the set itself.
     """
     member_mask = graph.mask_of(members)
-    return graph.ids_of(tested_by(graph.out_masks, member_mask) & ~member_mask)
+    reached = tested_by(tuple(graph.out_masks), member_mask)
+    return graph.ids_of(reached & ~member_mask)
 
 
 def mask_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -534,7 +561,7 @@ def failed_masks(graph: DiagnosticGraph, syndrome: Syndrome) -> tuple[int, ...]:
     """
     if syndrome._graph is graph:
         return syndrome._failed
-    pos, out = graph.positions, graph.out_masks
+    pos, out = graph.positions, tuple(graph.out_masks)
     masks = [0] * graph.n
     unknown = []
     for (tester, testee), value in syndrome.outcomes.items():

@@ -249,7 +249,7 @@ def all_consistent_fault_sets(
             f"exhaustive enumeration restricted to small graphs (n <= {cap}, "
             f"got {graph.n})"
         )
-    out_masks = graph.out_masks
+    out_masks = tuple(graph.out_masks)
     # Positions ascend with ids, so combinations of the bits come by size,
     # then lexicographically.
     bits = [1 << pos for pos in range(graph.n)]

@@ -226,7 +226,7 @@ def _read_rows(rows: list | tuple, graph: DiagnosticGraph | None) -> Syndrome:
     """The general pass of :func:`syndrome_from_dict`: any rows, in one pass."""
     # A dict copy of the positions: its get is faster than the read-only view's.
     pos = dict(graph.positions) if graph is not None else {}
-    out = graph.out_masks if graph is not None else ()
+    out = tuple(graph.out_masks) if graph is not None else ()
     failed = [0] * len(out)
     seen = [0] * len(out)  # per tester position, the testees that have a row
     others: dict[tuple[int, int], int | None] = {}  # rows naming no edge of graph

@@ -7,11 +7,13 @@ the template's offsets.  The default template — offset 1, one-directional,
 same-node only — is the minimal construction: each module checks its own
 next occurrence.
 
-A temporal graph stores one edge list, its flat graph: vertex (pane, base
-id) gets the dense id ``pane_index * width + base_position``, and one
-builder writes the pane copies and the cross-time edges under that
-numbering as bitmask rows.  The views by (pane, base id) are derived from
-it.
+A temporal graph has one edge list, its flat graph: vertex (pane, base
+id) gets the dense id ``pane_index * width + base_position``.  The flat
+graph is its recipe (base, template and pane count).  Its bitmask rows are
+computed when read (:class:`FlatRows`), and written all at once only by
+code that iterates them; its fingerprint hashes the recipe, not the rows;
+and it pickles as the temporal graph.  The views by (pane, base id) are
+derived from it.
 
 Restriction crops a temporal graph to a subinterval.  The panes anchored
 inside it form a contiguous run, and the subgraph they induce is exactly
@@ -24,11 +26,12 @@ over a nested chain of intervals records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .diagnosability import max_diagnosability
 from .errors import GraphError
@@ -101,6 +104,101 @@ class TemporalTemplate:
 
 DEFAULT_TEMPLATE = TemporalTemplate()
 
+
+class FlatRows(Sequence):
+    """The ``out_masks`` of a flat graph, each row computed when it is read.
+
+    Row ``index * width + p`` is base row p shifted to pane ``index``, OR
+    the template column: one bit at the start of each pane an offset
+    ahead, and behind when bidirectional, shifted to position p, or spread
+    over every position of those panes across modules.  Reading one row
+    computes it.  Iterating, slicing and comparing take the full pass,
+    which writes every row once and keeps the tuple; indexing then reads
+    that tuple.  The sequence compares equal to the tuple of its rows.
+    """
+
+    __slots__ = ("_base", "_count", "_template", "_rows")
+
+    def __init__(
+        self, base_rows: Sequence[int], count: int, template: TemporalTemplate
+    ) -> None:
+        self._base = tuple(base_rows)
+        self._count = count
+        self._template = template
+        self._rows: tuple[int, ...] | None = None
+
+    def __len__(self) -> int:
+        return self._count * len(self._base)
+
+    def _column(self, index: int) -> int:
+        """One bit at the start of every pane that pane ``index`` tests."""
+        width, template = len(self._base), self._template
+        start = index * width
+        column = 0
+        for offset in template.offsets:
+            if index + offset < self._count:
+                column |= 1 << (start + offset * width)
+            if template.bidirectional and index >= offset:
+                column |= 1 << (start - offset * width)
+        return column
+
+    def _all_rows(self) -> tuple[int, ...]:
+        """The full pass: every row, written once and kept."""
+        rows = self._rows
+        if rows is None:
+            base, width, count = self._base, len(self._base), self._count
+            full = (1 << width) - 1
+            reach = max(self._template.offsets)
+            written: list[int] = []
+            for index in range(count):
+                if reach < index and index + reach < count:
+                    # Every offset stays inside the run, both ways, from this
+                    # pane and from the one before: its rows are that pane's,
+                    # shifted one pane on.
+                    written += [row << width for row in written[-width:]]
+                    continue
+                start, column = index * width, self._column(index)
+                if self._template.base_identity_only:
+                    written.extend(
+                        row << start | column << p for p, row in enumerate(base)
+                    )
+                else:
+                    spread = column * full  # every position of those panes
+                    written.extend(row << start | spread for row in base)
+            rows = self._rows = tuple(written)
+        return rows
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._all_rows()[key]
+        rows = self._rows
+        if rows is not None:
+            return rows[key]
+        i, size = operator.index(key), len(self)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("row index out of range")
+        width = len(self._base)
+        index, p = divmod(i, width)
+        column = self._column(index)
+        if self._template.base_identity_only:
+            column <<= p
+        else:
+            column *= (1 << width) - 1
+        return self._base[p] << index * width | column
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._all_rows())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FlatRows):
+            other = other._all_rows()
+        if isinstance(other, tuple):
+            return self._all_rows() == other
+        return NotImplemented
+
+
 # A vertex of a temporal graph: (pane index, base node id).
 TemporalVertex = tuple[int, NodeId]
 TemporalEdge = tuple[TemporalVertex, TemporalVertex]
@@ -133,46 +231,29 @@ class TemporalGraph:
         and label ``<pane>:<nid>``.  Each pane copies the base edges with
         their kinds; each template offset adds ``TEMPORAL`` edges to the
         pane that far ahead, and back from it when bidirectional.  The
-        graph is written as masks: a vertex's row is its base row shifted
-        to its pane, plus its temporal testees in the panes an offset away.
-        Its ``nodes`` and ``edges`` are built on first read.
+        graph is its recipe: ``out_masks`` is a :class:`FlatRows`, which
+        computes a row when it is read; the in-degrees are counted from
+        the template; the fingerprint hashes :meth:`fingerprint_text`; and
+        the graph pickles as this temporal graph's five fields.  Its
+        ``nodes`` and ``edges`` are built on first read.
         """
         base, template, panes = self.base, self.template, self.panes
         width, count = base.n, len(panes)
-        full = (1 << width) - 1
         # Each pane that reaches another sends one tester to each vertex
-        # there, or a whole pane of them across modules; panes reached from
-        # as many panes share their in-degrees.
+        # there, or a whole pane of them across modules.  Pane ``index`` is
+        # reached from the panes an offset behind it, and ahead when
+        # bidirectional; that number changes only an offset from either
+        # end, so the panes between two such bounds share their in-degrees.
         per_pane = 1 if template.base_identity_only else width
-        rows: list[int] = []
+        inside = [offset for offset in template.offsets if offset < count]
+        bounds = sorted({0, count, *inside, *(count - offset for offset in inside)})
         degrees: list[int] = []
-        by_reach: dict[int, list[int]] = {}
-        for index in range(count):
-            start = index * width
-            # One bit at the start of every pane the template reaches, and
-            # the number of panes that reach this one.
-            column = reached = 0
-            for offset in template.offsets:
-                if index + offset < count:
-                    column |= 1 << (start + offset * width)
-                    reached += template.bidirectional
-                if index >= offset:
-                    reached += 1
-                    if template.bidirectional:
-                        column |= 1 << (start - offset * width)
-            if template.base_identity_only:
-                rows.extend(
-                    row << start | column << p for p, row in enumerate(base.out_masks)
-                )
-            else:
-                spread = column * full  # every position of those panes
-                rows.extend(row << start | spread for row in base.out_masks)
-            pane_degrees = by_reach.get(reached)
-            if pane_degrees is None:
-                extra = reached * per_pane
-                pane_degrees = [degree + extra for degree in base.in_degrees]
-                by_reach[reached] = pane_degrees
-            degrees.extend(pane_degrees)
+        for index, end in zip(bounds, bounds[1:]):
+            reached = sum(index >= offset for offset in inside)
+            if template.bidirectional:
+                reached += sum(index + offset < count for offset in inside)
+            extra = reached * per_pane
+            degrees += [degree + extra for degree in base.in_degrees] * (end - index)
 
         base_ids, base_nodes = base.node_ids, base.nodes
         base_pos = base.positions
@@ -190,8 +271,40 @@ class TemporalGraph:
             (pane, i), (other, j) = divmod(tester, width), divmod(testee, width)
             return base_kinds[(i, j)] if pane == other else EdgeKind.TEMPORAL
 
+        # The recipe is a copy of this graph without its cached views: a
+        # graph that held this one would make a reference cycle, which only
+        # the cyclic collector frees.
         return DiagnosticGraph._from_masks(
-            range(count * width), rows, degrees, node, kind
+            range(count * width),
+            FlatRows(base.out_masks, count, template),
+            degrees,
+            node,
+            kind,
+            replace(self),
+        )
+
+    def fingerprint_text(self) -> str:
+        """The tagged text whose sha256 is the flat graph's fingerprint.
+
+        It holds the base's fingerprint, the sorted offsets,
+        ``bidirectional``, ``identity_only`` and the pane count, which fix
+        the flat graph's ids and edges.  Rate and first pane change only
+        labels, so they are left out.
+        """
+        template = self.template
+        return (
+            f"flat;base={self.base.fingerprint}"
+            f";offsets={','.join(map(str, sorted(template.offsets)))}"
+            f";bidirectional={str(template.bidirectional).lower()}"
+            f";identity_only={str(template.base_identity_only).lower()}"
+            f";panes={len(self.panes)}"
+        )
+
+    def __reduce__(self) -> tuple:
+        # The five fields, without the cached views.
+        return (
+            type(self),
+            (self.base, self.interval, self.frequency_hz, self.template, self.panes),
         )
 
     @cached_property

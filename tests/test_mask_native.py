@@ -1,13 +1,16 @@
 """The mask-built flat graph and mask-held syndromes against the literal referees.
 
-A temporal graph writes its flat graph as rows of bitmasks, and a syndrome
-read against a graph goes straight into per-tester failed masks.  Their
-``nodes``, ``edges`` and ``outcomes`` are views built on first read.  The
-tests hold them to the literal builder and reader in
-``test_runtime_path``, values, kinds, orders and messages included, and
-run an 11,011-vertex recording through the command line.
+A temporal graph's flat graph computes its rows of bitmasks from the
+recipe when they are read, and a syndrome read against a graph goes
+straight into per-tester failed masks.  Their ``nodes``, ``edges`` and
+``outcomes`` are views built on first read.  The tests hold them to the
+literal builder and reader in ``test_runtime_path``, values, kinds, orders
+and messages included, check that ``identify`` on a recording writes and
+hashes no row, and run an 11,011-vertex recording through the command
+line.
 """
 
+import hashlib
 import json
 import pickle
 import random
@@ -16,6 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import diagkit.graph
 from conftest import tester_masks
 from diagkit.cli import main
 from diagkit.diagnosability import common_syndrome
@@ -28,7 +32,7 @@ from diagkit.jsonio import (
     temporal_to_dict,
 )
 from diagkit.simulator import bernoulli, generate_syndrome, scenario
-from diagkit.temporal import Interval, TemporalTemplate, expand, restrict
+from diagkit.temporal import FlatRows, Interval, TemporalTemplate, expand, restrict
 from test_runtime_path import (
     FIELDS,
     gapped_base,
@@ -133,6 +137,120 @@ class TestFlatGraphFromMasks:
         again = pickle.loads(pickle.dumps((temporal, syndrome)))
         assert again == (temporal, syndrome)
         assert again[0].flat_graph == flat
+
+
+class TestFlatRows:
+    """A flat graph's ``out_masks`` computes each row from the recipe when
+    it is read, and writes them all in one full pass when iterated."""
+
+    def test_rows_by_index_then_by_iteration_equal_the_literal_rows(self):
+        rng = random.Random(53)
+        seen = {
+            "cross": 0, "bidirectional": 0, "forward": 0, "offsets": 0,
+            "restricted": 0, "empty": 0, "shifted": 0,
+        }
+        for _ in range(150):
+            temporal = random_expansion(rng, rng.randint(1, 6), 7)
+            template = temporal.template
+            seen["cross"] += not template.base_identity_only
+            seen["bidirectional"] += template.bidirectional
+            seen["forward"] += not template.bidirectional
+            seen["offsets"] += len(template.offsets) > 1
+            for index, view in enumerate(views_of(temporal, rng)):
+                seen["restricted"] += index > 0 and bool(view.panes)
+                seen["empty"] += not view.panes
+                # The full pass shifts the rows of a pane that every offset
+                # reaches from both ways, like the one before it.
+                seen["shifted"] += len(view.panes) > 2 * max(template.offsets) + 1
+                rows = view.flat_graph.out_masks
+                expected = literal_flat(view).out_masks
+                n = len(expected)
+                assert len(rows) == n
+                assert [rows[i] for i in range(-n, n)] == [*expected, *expected]
+                for i in (n, n + 5, -n - 1):
+                    with pytest.raises(IndexError):
+                        rows[i]
+                assert rows._rows is None  # no full pass yet
+                assert tuple(rows) == expected
+                assert rows._rows == expected
+                assert [rows[i] for i in range(-n, n)] == [*expected, *expected]
+                with pytest.raises(IndexError):
+                    rows[n]
+                assert rows[1:-1] == expected[1:-1]
+                assert rows == expected and expected == rows and rows == rows
+                assert rows != list(expected)
+        assert all(seen.values()), seen
+
+    def test_identify_on_a_recording_writes_and_hashes_no_row(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        recording = expand(
+            scenario("localization").graph,
+            100,
+            Interval(0, 1),
+            TemporalTemplate(offsets=frozenset({1, 2}), bidirectional=True),
+        )
+        flat = recording.flat_graph
+        assert flat.n == 1111
+        faults = [7, 500, 1100]
+        syndrome = generate_syndrome(flat, faults, bernoulli(0.5), seed=11)
+        graph_path = tmp_path / "recording.json"
+        syndrome_path = tmp_path / "syndrome.json"
+        graph_path.write_text(dump_json(temporal_to_dict(recording)))
+        syndrome_path.write_text(dump_json(syndrome_to_dict(syndrome)))
+
+        passes = []
+        full_pass = FlatRows._all_rows
+
+        def spy_pass(rows):
+            passes.append(len(rows))
+            return full_pass(rows)
+
+        hashed = []
+
+        class SpySha256:
+            def __init__(self, data=b""):
+                hashed.append(len(data))
+                self._digest = hashlib.sha256(data)
+
+            def update(self, data):
+                hashed.append(len(data))
+                self._digest.update(data)
+
+            def hexdigest(self):
+                return self._digest.hexdigest()
+
+        monkeypatch.setattr(FlatRows, "_all_rows", spy_pass)
+        monkeypatch.setattr(diagkit.graph, "hashlib", SimpleNamespace(sha256=SpySha256))
+        argv = ["identify", str(graph_path), str(syndrome_path), "--t", "4", "--json"]
+        code = main(argv)
+        document = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert document["verdict"] == {"kind": "unique", "fault_set": faults}
+        assert passes == []
+        # The base graph's rows and the recipe's text: a few hundred bytes,
+        # where the rows of the flat graph are 162 KB of hex.
+        assert hashed and sum(hashed) < 400
+
+    def test_a_held_syndrome_pickles_as_its_recipe(self):
+        recording = expand(
+            scenario("localization").graph,
+            100,
+            Interval(0, 10),
+            TemporalTemplate(offsets=frozenset({1, 2}), bidirectional=True),
+        )
+        flat = recording.flat_graph
+        held = generate_syndrome(flat, [7, 5005, 11000], bernoulli(0.5), seed=3)
+        data = pickle.dumps(held)
+        assert "edges" not in vars(flat)
+        # With the graph pickled by value, as its nodes and edges: 2.95 MB.
+        assert len(data) < 8_000
+        again = pickle.loads(data)
+        graph = again._graph
+        assert "edges" not in vars(graph) and graph.out_masks._rows is None
+        assert graph.fingerprint == flat.fingerprint
+        assert again._held and again._failed == held._failed
+        assert syndrome_to_dict(again) == syndrome_to_dict(held)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import hashlib
 import json
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,12 +28,13 @@ from diagkit.jsonio import (
     syndrome_to_dict,
 )
 from diagkit.simulator import bernoulli, generate_syndrome, scenario
-from diagkit.temporal import Interval, TemporalTemplate, expand
+from diagkit.temporal import Interval, TemporalTemplate, expand, restrict
 from test_runtime_path import (
     FIELDS,
     gapped_base,
     literal_syndrome_from_dict,
     outcome_of,
+    random_expansion,
 )
 
 
@@ -152,10 +154,40 @@ class TestFingerprint:
         prints = {graph.fingerprint for graph in [five_cycle, *others]}
         assert len(prints) == 5
 
-    def test_a_flat_graph_and_its_object_twin_agree(self, recording):
+    def test_a_flat_graph_is_named_by_its_recipe(self, recording):
         flat = recording.flat_graph
-        twin = DiagnosticGraph(flat.nodes, flat.edges)
-        assert twin.fingerprint == flat.fingerprint
+        base, template = recording.base, recording.template
+        text = (
+            f"flat;base={base.fingerprint};offsets=1,2;bidirectional=true"
+            ";identity_only=true;panes=101"
+        )
+        assert flat.fingerprint == hashlib.sha256(text.encode()).hexdigest()
+        # 101 panes again, at another rate or from another first pane.
+        for hz, interval in [(100, Interval(3, 4)), (200, Interval(1, Fraction(3, 2)))]:
+            again = expand(base, hz, interval, template).flat_graph
+            assert (again.node_ids, again.out_masks) == (flat.node_ids, flat.out_masks)
+            assert again.fingerprint == flat.fingerprint
+        # One recipe field changed at a time.
+        fewer_edges = DiagnosticGraph(base.nodes, base.edges[1:])
+        changed = [
+            expand(fewer_edges, 100, Interval(0, 1), template),
+            expand(base, 100, Interval(0, 1), replace(template, offsets={1})),
+            expand(base, 100, Interval(0, 1), replace(template, offsets={1, 3})),
+            expand(base, 100, Interval(0, 1), replace(template, bidirectional=False)),
+            expand(
+                base, 100, Interval(0, 1), replace(template, base_identity_only=False)
+            ),
+            expand(base, 100, Interval(0, Fraction(99, 100)), template),
+        ]
+        prints = {flat.fingerprint, *(view.flat_graph.fingerprint for view in changed)}
+        assert len(prints) == len(changed) + 1
+        rng = random.Random(79)
+        small = [random_expansion(rng, rng.randint(1, 4), 4) for _ in range(20)]
+        empty = restrict(recording, Interval(Fraction(1, 300), Fraction(2, 300)))
+        for view in [recording, *changed, *small, empty]:
+            graph = view.flat_graph
+            twin = DiagnosticGraph(graph.nodes, graph.edges)
+            assert twin == graph and twin.fingerprint != graph.fingerprint
 
 
 # ---------------------------------------------------------------------------
