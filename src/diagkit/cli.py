@@ -119,6 +119,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
         return {
             "verdict": verdict.to_json_dict(),
             "statuses": report.to_json_dict(),
+            "others": report.others.value,
             "exceeds_majority_budget": verdict.exceeds_majority_budget,
         }
 
@@ -130,8 +131,13 @@ def cmd_identify(args: argparse.Namespace) -> int:
             lines.append(f"  {verdict.candidate_count} candidates:")
             for candidate in verdict.candidates:
                 lines.append(f"    {sorted(candidate)}")
-        for nid, status in sorted(report.statuses.items()):
+        for nid, status in report.listed.items():
             lines.append(f"  node {nid}: {status.value}")
+        rest = graph.n - len(report.listed)
+        if rest:
+            other = " other" if report.listed else ""
+            plural = "" if rest == 1 else "s"
+            lines.append(f"  all {rest:,}{other} node{plural}: {report.others.value}")
         return "\n".join(lines)
 
     _emit(args, document, human)

@@ -72,6 +72,11 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        # Below 2**53 an integral float's decimal spelling is its int.  A
+        # larger one keeps the spelling, not its binary value: 1e300 reads
+        # as 10**300.
+        if value.is_integer() and abs(value) < 2**53:
+            return Fraction(int(value))
         if not math.isfinite(value):
             raise ValueError(f"cannot interpret {value!r} as a rational")
         return Fraction(str(value))

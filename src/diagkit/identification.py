@@ -18,8 +18,9 @@ limit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Hashable, Mapping, Sequence
 
@@ -80,15 +81,31 @@ class DiagnosisVerdict:
 
 @dataclass(frozen=True)
 class StatusReport:
-    """Per-node knowability derived from the full candidate list."""
+    """Per-node knowability derived from the full candidate list.
 
-    statuses: Mapping[NodeId, NodeStatus]
+    ``listed`` holds the nodes some candidate contains, in id order:
+    known-faulty when every candidate does, unknown when only some do.
+    Every other node of ``node_ids`` has the status ``others``:
+    known-fault-free, or unknown when there is no candidate at all (then
+    nothing is listed).  ``statuses`` is the complete mapping, in
+    ``node_ids`` order, built on first read.
+    """
+
+    listed: Mapping[NodeId, NodeStatus]
+    others: NodeStatus
     verdict: DiagnosisVerdict
+    node_ids: Sequence[NodeId] = field(repr=False)
+
+    @cached_property
+    def statuses(self) -> Mapping[NodeId, NodeStatus]:
+        return MappingProxyType(_all_statuses(self.node_ids, self.listed, self.others))
 
     def to_json_dict(self) -> dict:
+        """The listed nodes, keyed by id as a string; ``identify --json``
+        prints ``others`` beside them."""
         # ``_value_`` is a plain attribute; ``value`` is a property.  Key
         # order is left to the writer: ``jsonio.dump_json`` sorts the keys.
-        return {str(nid): status._value_ for nid, status in self.statuses.items()}
+        return {str(nid): status._value_ for nid, status in self.listed.items()}
 
 
 def _require_inputs(graph: DiagnosticGraph, syndrome: Syndrome, t: object) -> tuple:
@@ -292,22 +309,33 @@ def _group_statuses(masks: list[int], groups: list[int]) -> list[NodeStatus]:
     return statuses
 
 
-def _bit_statuses(masks: list[int], keys: Sequence[Hashable]) -> dict:
-    """Status of each bit position p across the candidate masks, keyed by
-    ``keys[p]``: known-faulty when every candidate holds it, known
-    fault-free when none does, unknown otherwise, and unknown throughout
-    with no candidate.  Only the bits some candidate holds are visited.
+def _listed_statuses(
+    masks: list[int], keys: Sequence[Hashable]
+) -> tuple[dict, NodeStatus]:
+    """The status of each bit position p that some candidate mask holds,
+    keyed by ``keys[p]`` in position order, and the one status of every
+    other key, as :class:`StatusReport` reads them.  Only those bits are
+    visited.
     """
     if not masks:
-        return dict.fromkeys(keys, NodeStatus.UNKNOWN)
-    statuses = dict.fromkeys(keys, NodeStatus.KNOWN_FAULT_FREE)
+        return {}, NodeStatus.UNKNOWN
     everywhere, anywhere = _spread(masks)
+    listed = {}
     while anywhere:
         low = anywhere & -anywhere
         anywhere ^= low
-        statuses[keys[low.bit_length() - 1]] = (
+        listed[keys[low.bit_length() - 1]] = (
             NodeStatus.KNOWN_FAULTY if everywhere & low else NodeStatus.UNKNOWN
         )
+    return listed, NodeStatus.KNOWN_FAULT_FREE
+
+
+def _all_statuses(
+    keys: Sequence[Hashable], listed: Mapping, others: NodeStatus
+) -> dict:
+    """Every key's status, in ``keys`` order: its listed one, else ``others``."""
+    statuses = dict.fromkeys(keys, others)
+    statuses.update(listed)
     return statuses
 
 
@@ -326,5 +354,10 @@ def node_status(
     """
     masks = _candidate_masks(graph, syndrome, t)
     verdict = _verdict_from_masks(graph, masks, t, candidate_limit)
-    statuses = _bit_statuses(masks, graph.node_ids)
-    return StatusReport(statuses=MappingProxyType(statuses), verdict=verdict)
+    listed, others = _listed_statuses(masks, graph.node_ids)
+    return StatusReport(
+        listed=MappingProxyType(listed),
+        others=others,
+        verdict=verdict,
+        node_ids=graph.node_ids,
+    )

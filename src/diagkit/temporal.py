@@ -48,9 +48,10 @@ from .graph import (
 )
 from .identification import (
     NodeStatus,
-    _bit_statuses,
+    _all_statuses,
     _candidate_masks,
     _group_statuses,
+    _listed_statuses,
 )
 
 
@@ -562,7 +563,10 @@ def audit(
 
         vertex_statuses = None
         if include_vertices:
-            vertex_statuses = MappingProxyType(_bit_statuses(masks, sub.vertices))
+            listed, others = _listed_statuses(masks, sub.vertices)
+            vertex_statuses = MappingProxyType(
+                _all_statuses(sub.vertices, listed, others)
+            )
 
         results.append(
             WindowAudit(

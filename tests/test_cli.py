@@ -176,6 +176,34 @@ class TestIdentify:
         assert doc["verdict"]["kind"] == "ambiguous"
         assert doc["verdict"]["candidates"] == [[1, 2], [1, 3]]
 
+    def test_human_output_lists_what_differs(self, capsys, tmp_path):
+        """The nodes some candidate holds, one per line, then one line for
+        all the others; with no candidate, one line for every node."""
+        syn = tmp_path / "s.json"
+        fingerprint = scenario("five_cycle").graph.fingerprint
+        for failed, t, text in (
+            (
+                [[2, 3], [5, 1]],
+                2,
+                "verdict: ambiguous\n  2 candidates:\n    [1, 2]\n    [1, 3]\n"
+                "  node 1: known_faulty\n  node 2: unknown\n  node 3: unknown\n"
+                "  all 2 other nodes: known_fault_free\n",
+            ),
+            (
+                [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1]],
+                1,
+                "verdict: inconsistent\n  all 5 nodes: unknown\n",
+            ),
+        ):
+            syn.write_text(
+                json.dumps({"failed": failed, "graph": fingerprint, "others": "pass"})
+            )
+            code, out, _ = run(capsys, "identify", "five_cycle", str(syn), "--t", str(t))
+            assert (code, out) == (1, text)
+            code, doc, _ = run_json(capsys, "identify", "five_cycle", str(syn), "--t", str(t))
+            assert code == 1
+            assert doc["others"] == text.rsplit(": ", 1)[1].rstrip("\n")
+
     def test_partial_syndrome_is_input_error(self, capsys, tmp_path):
         syn = tmp_path / "s.json"
         syn.write_text(json.dumps({"outcomes": [{"tester": 1, "testee": 2, "value": 0}]}))

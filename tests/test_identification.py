@@ -1,6 +1,7 @@
 """Fault identification: exact search vs. brute force, statuses, verdicts."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from conftest import (
     iter_subsets,
     random_digraph,
 )
+from diagkit.cli import main
 from diagkit.diagnosability import max_diagnosability
 from diagkit.errors import SizeCapError, SyndromeError
 from diagkit.graph import (
@@ -23,13 +25,15 @@ from diagkit.graph import (
 )
 from diagkit.identification import (
     NodeStatus,
+    StatusReport,
     VerdictKind,
     all_consistent_fault_sets,
     identify,
     node_status,
 )
+from diagkit.jsonio import dump_json, graph_to_dict, syndrome_to_dict, temporal_to_dict
 from diagkit.simulator import adversarial, bernoulli, generate_syndrome, scenario
-from diagkit.temporal import Interval, expand, restrict
+from diagkit.temporal import Interval, TemporalTemplate, expand, restrict
 
 
 def random_syndrome(rng, graph):
@@ -142,13 +146,8 @@ class TestNodeStatus:
 
     def test_json_keyed_by_node_id(self, five_cycle):
         report = node_status(five_cycle, cycle_syndrome(0, 0, 0, 0, 1), 1)
-        assert report.to_json_dict() == {
-            "1": "known_faulty",
-            "2": "known_fault_free",
-            "3": "known_fault_free",
-            "4": "known_fault_free",
-            "5": "known_fault_free",
-        }
+        assert report.to_json_dict() == {"1": "known_faulty"}
+        assert report.others is NodeStatus.KNOWN_FAULT_FREE
 
 
 class TestSearchMatchesBruteForce:
@@ -297,3 +296,107 @@ class TestSuspects:
                     assert report.verdict == verdict
                     assert dict(report.statuses) == referee_statuses(graph, candidates)
         assert all(seen.values()), seen
+
+
+def expand_document(document, node_ids):
+    """Every node's status as an ``identify --json`` document gives it: its
+    listed status, else the one status of all the others."""
+    listed, others = document["statuses"], document["others"]
+    return {nid: NodeStatus(listed.get(str(nid), others)) for nid in node_ids}
+
+
+class TestIdentifyDocument:
+    """``identify --json`` lists the nodes some candidate holds and gives
+    one status, ``others``, for the rest; expanded, it is the complete
+    ``node_status(...).statuses``."""
+
+    def identify_json(self, capsys, graph_path, syndrome_path, t):
+        argv = ["identify", str(graph_path), str(syndrome_path), "--t", str(t)]
+        code = main([*argv, "--json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_expanded_document_matches_the_referee(self, tmp_path, capsys):
+        rng = random.Random(83)
+        kinds = dict.fromkeys(VerdictKind, 0)
+        graph_path, syndrome_path = tmp_path / "g.json", tmp_path / "s.json"
+        for _ in range(60):
+            graph = random_digraph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.7))
+            syndrome = random_syndrome(rng, graph)
+            graph_path.write_text(dump_json(graph_to_dict(graph)))
+            syndrome_path.write_text(dump_json(syndrome_to_dict(syndrome)))
+            referee = all_consistent_fault_sets(graph, syndrome, graph.n)
+            for t in range(graph.n + 1):
+                code, document = self.identify_json(capsys, graph_path, syndrome_path, t)
+                report = node_status(graph, syndrome, t)
+                kind = report.verdict.kind
+                kinds[kind] += 1
+                assert code == (0 if kind is VerdictKind.UNIQUE else 1)
+                assert document["verdict"] == report.verdict.to_json_dict()
+                expanded = expand_document(document, graph.node_ids)
+                assert expanded == dict(report.statuses)
+                candidates = [c for c in referee if len(c) <= t]
+                assert expanded == referee_statuses(graph, candidates)
+                if kind is VerdictKind.INCONSISTENT:
+                    assert document["statuses"] == {}
+                    assert document["others"] == "unknown"
+                else:
+                    assert document["others"] == "known_fault_free"
+                    assert "known_fault_free" not in document["statuses"].values()
+        assert min(kinds.values()) > 0, kinds
+
+    def test_report_lists_the_nodes_that_differ(self, five_cycle):
+        for outcomes, t, others in (
+            ((0, 0, 0, 0, 1), 1, NodeStatus.KNOWN_FAULT_FREE),
+            ((0, 1, 0, 0, 1), 2, NodeStatus.KNOWN_FAULT_FREE),
+            ((1, 1, 1, 1, 1), 1, NodeStatus.UNKNOWN),
+        ):
+            report = node_status(five_cycle, cycle_syndrome(*outcomes), t)
+            assert report.others is others
+            assert list(report.statuses) == list(five_cycle.node_ids)
+            assert {
+                nid: status
+                for nid, status in report.statuses.items()
+                if status is not others
+            } == dict(report.listed)
+
+    def test_ten_second_recording_prints_a_small_document(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        recording = expand(
+            scenario("localization").graph,
+            100,
+            Interval(0, 10),
+            TemporalTemplate(offsets=frozenset({1, 2}), bidirectional=True),
+        )
+        flat = recording.flat_graph
+        assert flat.n == 11_011
+        faults = [7, 5005, 11000]
+        syndrome = generate_syndrome(flat, faults, bernoulli(0.5), seed=3)
+        graph_path, syndrome_path = tmp_path / "rec.json", tmp_path / "syn.json"
+        graph_path.write_text(dump_json(temporal_to_dict(recording)))
+        syndrome_path.write_text(dump_json(syndrome_to_dict(syndrome)))
+
+        def refuse(self):
+            raise AssertionError("the full status mapping was built")
+
+        monkeypatch.setattr(StatusReport, "statuses", property(refuse))
+        code = main(["identify", str(graph_path), str(syndrome_path), "--t", "4", "--json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(out.encode()) < 1024
+        document = json.loads(out)
+        assert document == {
+            "verdict": {"kind": "unique", "fault_set": faults},
+            "statuses": {str(nid): "known_faulty" for nid in faults},
+            "others": "known_fault_free",
+            "exceeds_majority_budget": False,
+        }
+        code = main(["identify", str(graph_path), str(syndrome_path), "--t", "4"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "verdict: unique [7, 5005, 11000]\n"
+            "  node 7: known_faulty\n"
+            "  node 5005: known_faulty\n"
+            "  node 11000: known_faulty\n"
+            "  all 11,008 other nodes: known_fault_free\n"
+        )

@@ -102,6 +102,20 @@ class TestFractionJson:
         for value in (Fraction(1, 3), Fraction(1, 50), Fraction(7, 2), Fraction(5)):
             assert as_fraction(fraction_to_json(value)) == value
 
+    def test_floats_read_at_decimal_face_value(self):
+        """Integral floats take a shortcut; every float still reads as its
+        shortest decimal spelling, as ``Fraction(str(value))`` does."""
+        boundary = [0.0, -0.0, 1.0, -1.0, 100.0, 2.0**53 - 1, 2.0**53, -(2.0**53)]
+        boundary += [2.0**53 + 2, 1e16, 1e300, -1e300, 0.02, 0.5, 1e-300]
+        rng = random.Random(29)
+        integral = [float(rng.randint(-(2**60), 2**60)) for _ in range(2000)]
+        integral += [float(rng.randint(-1000, 1000)) for _ in range(1000)]
+        scattered = [rng.uniform(-1e6, 1e6) for _ in range(1000)]
+        scattered += [rng.random() * 10.0 ** rng.randint(-20, 300) for _ in range(1000)]
+        for value in boundary + integral + scattered:
+            assert as_fraction(value) == Fraction(str(value)), value
+        assert as_fraction(1e300) == 10**300
+
 
 class TestSyndromeJson:
     def test_round_trip(self, five_cycle):
