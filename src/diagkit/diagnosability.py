@@ -9,15 +9,19 @@ three structural conditions:
   (iii) for each p in [0, t), every node subset X of size n - 2t + p has
         more than p nodes outside X that some member of X tests.
 
-Condition (iii) is decided by a pruned depth-first search over X in
-lexicographic order.  The largest t, t(D), comes from a closed form,
-⌊(m − 1)/2⌋ with m the least |W| + 2·|T(W) \\ W| over nonempty node sets
-W and T(W) their testers, computed by minimum cuts in polynomial time
-(Sullivan, FOCS 1984; Hakimi & Amin, IEEE Trans. Computers C-23(1), 1974);
-the set W that attains m, read as a condition-(iii) witness, refutes
-t(D) + 1.  Alongside lives a definition-level brute-force oracle that
-scans the unions of two small fault sets for a pair sharing a syndrome; it
-and the checker must always agree, and the test suite holds them to that.
+Conditions (i) and (ii) are read off the node count and the in-degrees;
+together they bound t by the search ceiling, min(minimum in-degree,
+⌊(n − 1)/2⌋).  Condition (iii) and the largest t, t(D), both follow from
+one quantity, m, the least |W| + 2·|T(W) \\ W| over nonempty node sets W
+and T(W) their testers (Hakimi & Amin, IEEE Trans. Computers C-23(1),
+1974; Sullivan, FOCS 1984): given (i) and (ii), condition (iii) holds at t
+exactly when m > 2t, so t(D) = ⌊(m − 1)/2⌋.  m is found by minimum cuts in
+polynomial time, once per graph, and the set W that attains it, read as a
+condition-(iii) witness, refutes every t from t(D) + 1 to the ceiling.
+
+Alongside lives a definition-level brute-force oracle that scans the unions
+of two small fault sets for a pair sharing a syndrome; it and the checker
+must always agree, and the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import GraphError, SizeCapError
 from .graph import (
@@ -123,49 +127,15 @@ def _check_args(graph: DiagnosticGraph, t: int) -> int:
     return n
 
 
-def _cond_iii_witness(graph: DiagnosticGraph, t: int) -> CondIIIWitness | None:
-    """First failing (p, X), by p ascending and X lexicographically.
-
-    X grows one position at a time, depth first in lexicographic order.
-    Growing a prefix P takes out of its testable set Γ(P) only the members
-    it adds, which lie above P's last position, so P is dropped once
-    |Γ(P)|, less the fewer of the members still to add and the members of
-    Γ(P) above its last position, exceeds p.
-    """
-    n = graph.n
-    out_masks = tuple(graph.out_masks)
-    for p in range(t):
-        size = n - 2 * t + p
-        if size <= 0:  # unreachable once condition (i) holds
-            continue
-        # (members, the nodes they test, last position, members still to
-        # add); children are pushed from the highest position down, so the
-        # lowest is popped first.
-        stack = [(0, 0, -1, size)]
-        while stack:
-            members, reached, last, left = stack.pop()
-            if not left:
-                return CondIIIWitness(
-                    p=p,
-                    members=graph.ids_of(members),
-                    testable=graph.ids_of(reached & ~members),
-                )
-            left -= 1
-            for pos in range(n - 1 - left, last, -1):
-                grown = members | 1 << pos
-                tested = reached | out_masks[pos]
-                outside = tested & ~grown
-                if outside.bit_count() - min(left, (outside >> pos).bit_count()) <= p:
-                    stack.append((grown, tested, pos, left))
-    return None
-
-
 def is_t_diagnosable(graph: DiagnosticGraph, t: int) -> DiagnosabilityCertificate:
     """Decide t-diagnosability and return a certificate.
 
     t = 0 is trivially diagnosable for any nonempty graph: there is nothing
-    to identify.  A refusal names the first condition that fails, with the
-    lexicographically first (p, X) for condition (iii).
+    to identify.  A refusal names the first condition that fails.  Once (i)
+    and (ii) hold, t is at most the search ceiling, and condition (iii)
+    holds exactly when the graph's least f(W) exceeds 2t; otherwise its
+    minimiser W, found once per graph (:func:`_graph_cut`), gives the
+    (p, X) of the refutation (:func:`_refutation`).
     """
     n = _check_args(graph, t)
     if n < 2 * t + 1:
@@ -180,9 +150,10 @@ def is_t_diagnosable(graph: DiagnosticGraph, t: int) -> DiagnosabilityCertificat
                 "cond_ii",
                 CondIIWitness(node=nid, in_degree=degree),
             )
-    witness = _cond_iii_witness(graph, t)
-    if witness is not None:
-        return DiagnosabilityCertificate(t, Verdict.NOT_DIAGNOSABLE, "cond_iii", witness)
+    if t:  # at t = 0, m >= 1 > 2t with no cut
+        _, m, least = _graph_cut(graph)
+        if m <= 2 * t:
+            return _refutation(graph, t, least)
     return DiagnosabilityCertificate(t, Verdict.DIAGNOSABLE)
 
 
@@ -290,7 +261,7 @@ def _least_cut(testers: list[list[int]], limit: int) -> tuple[int, list[int]]:
 
 
 def _refutation(
-    graph: DiagnosticGraph, testers: list[list[int]], t: int, least: list[int]
+    graph: DiagnosticGraph, t: int, least: Sequence[int]
 ) -> DiagnosabilityCertificate:
     """The condition-(iii) failure at t given by a W with f(W) <= 2t, for t
     no higher than the search ceiling.
@@ -300,15 +271,17 @@ def _refutation(
     |Γ(X)| <= |S| <= p follows from f(W) <= 2t.  p < t because each w in W
     has at least t testers, all in (W − w) ∪ S, so |W| + |S| > t.
     """
+    rows = tuple(graph.out_masks)
     inside = tested = 0
     for x in least:
         inside |= 1 << x
-        for u in testers[x]:
+    for u, row in enumerate(rows):
+        if row & inside:
             tested |= 1 << u
     outside = tested & ~inside
     members = ((1 << graph.n) - 1) & ~(inside | outside)
     p = 2 * t - len(least) - outside.bit_count()
-    testable = tested_by(tuple(graph.out_masks), members) & ~members
+    testable = tested_by(rows, members) & ~members
     witness = CondIIIWitness(p, graph.ids_of(members), graph.ids_of(testable))
     return DiagnosabilityCertificate(t, Verdict.NOT_DIAGNOSABLE, "cond_iii", witness)
 
@@ -319,9 +292,9 @@ def revalidate_certificate(
     """Re-check a certificate against the graph it was computed from.
 
     Failure witnesses are validated directly from adjacency queries;
-    passing certificates are re-derived by the minimum cut.  A certificate
-    whose t is out of range for the graph, or whose witness names a node
-    the graph lacks, does not hold.
+    passing certificates are re-derived by a fresh minimum cut, never the
+    one the graph keeps.  A certificate whose t is out of range for the
+    graph, or whose witness names a node the graph lacks, does not hold.
     """
     t = certificate.t
     if certificate.diagnosable:
@@ -364,6 +337,24 @@ def search_ceiling(graph: DiagnosticGraph) -> int:
     return min(degree, (graph.n - 1) // 2)
 
 
+def _graph_cut(graph: DiagnosticGraph) -> tuple[int, int, tuple[int, ...]]:
+    """(c, min(m, 2c + 1), W) for the graph's search ceiling c, m its least
+    f(W), and W the positions of a set attaining m if m <= 2c (else ()).
+
+    One :func:`_least_cut` per graph decides condition (iii) at every level
+    up to c: a W with f(W) = m <= 2t refutes each t from t(D) + 1 to c.
+    The result is kept in the graph's instance dict, as its cached views
+    are; the tester lists are not, since they would hold a list per node
+    for as long as the graph lives.
+    """
+    cut = vars(graph).get("_cut")
+    if cut is None:
+        ceiling = search_ceiling(graph)
+        m, least = _least_cut(_testers(graph), 2 * ceiling + 1)
+        cut = vars(graph)["_cut"] = (ceiling, m, tuple(least))
+    return cut
+
+
 @dataclass(frozen=True)
 class MaxDiagnosability:
     """Largest verified t, plus the certificates bracketing it."""
@@ -392,21 +383,17 @@ def max_diagnosability(graph: DiagnosticGraph) -> MaxDiagnosability:
     A ∩ B; the larger of the two then has at least ⌈|W|/2⌉ + |T(W) \\ W|
     members, and a pair attains it.  So t(D) = ⌊(m − 1)/2⌋, where m is the
     least f(W) = |W| + 2·|T(W) \\ W| over nonempty W, found by one minimum
-    cut per node (:func:`_least_cut`).  Below the search ceiling the
-    refutation at t(D) + 1 is the minimiser, read as a condition-(iii)
-    witness (:func:`_refutation`).
+    cut per node, once per graph (:func:`_graph_cut`).  Below the search
+    ceiling the refutation at t(D) + 1 is the minimiser, read as a
+    condition-(iii) witness (:func:`_refutation`).
     """
-    if graph.n == 0:
-        raise GraphError("empty graph")
-    testers = _testers(graph)
-    ceiling = min(min(map(len, testers)), (graph.n - 1) // 2)
-    m, least = _least_cut(testers, 2 * ceiling + 1)
+    ceiling, m, least = _graph_cut(graph)
     t_max = (m - 1) // 2
     return MaxDiagnosability(
         t_max=t_max,
         ceiling=ceiling,
         certificate=DiagnosabilityCertificate(t_max, Verdict.DIAGNOSABLE),
-        refutation=_refutation(graph, testers, t_max + 1, least) if least else None,
+        refutation=_refutation(graph, t_max + 1, least) if least else None,
     )
 
 

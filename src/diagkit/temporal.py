@@ -468,6 +468,37 @@ class WindowAudit:
     base_statuses: Mapping[NodeId, NodeStatus]
     vertex_statuses: Mapping[TemporalVertex, NodeStatus] | None
 
+    def to_json_dict(self) -> dict:
+        """One window of ``audit --json``.  Vertex statuses, when kept, are
+        written in the shape of ``identify --json``: ``vertex_others`` is
+        the status of every vertex not listed (``unknown`` when every vertex
+        is unknown, else ``known_fault_free``), and ``vertex_statuses``
+        lists each other vertex, keyed ``"<pane>:<id>"``."""
+        doc = {
+            "interval": [fraction_to_json(self.window.a), fraction_to_json(self.window.b)],
+            "t": self.t_used,
+            "inconsistent": self.inconsistent,
+            "nodes": {
+                str(nid): status.value
+                for nid, status in sorted(self.base_statuses.items())
+            },
+        }
+        vertices = self.vertex_statuses
+        if vertices is not None:
+            unknown = NodeStatus.UNKNOWN
+            others = (
+                unknown
+                if set(vertices.values()) == {unknown}
+                else NodeStatus.KNOWN_FAULT_FREE
+            )
+            doc["vertex_others"] = others.value
+            doc["vertex_statuses"] = {
+                f"{pane}:{nid}": status.value
+                for (pane, nid), status in vertices.items()
+                if status is not others
+            }
+        return doc
+
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -477,23 +508,7 @@ class AuditReport:
         return [audit.base_statuses[base_id] for audit in self.windows]
 
     def to_json_dict(self) -> dict:
-        return {
-            "windows": [
-                {
-                    "interval": [
-                        fraction_to_json(audit.window.a),
-                        fraction_to_json(audit.window.b),
-                    ],
-                    "t": audit.t_used,
-                    "inconsistent": audit.inconsistent,
-                    "nodes": {
-                        str(nid): status.value
-                        for nid, status in sorted(audit.base_statuses.items())
-                    },
-                }
-                for audit in self.windows
-            ]
-        }
+        return {"windows": [audit.to_json_dict() for audit in self.windows]}
 
 
 def audit(

@@ -8,6 +8,7 @@ from typing import Iterator, Sequence
 
 import pytest
 
+from diagkit.diagnosability import CondIIIWitness
 from diagkit.graph import DiagnosticGraph, Edge, Node, Syndrome
 from diagkit.simulator import scenario
 
@@ -72,6 +73,46 @@ def scan_t_max(graph: DiagnosticGraph) -> int:
     while scan_cond_iii(graph, t) is not None:
         t -= 1
     return t
+
+
+def dfs_cond_iii(graph: DiagnosticGraph, t: int) -> CondIIIWitness | None:
+    """First failing (p, X) of condition (iii), by p ascending and X
+    lexicographically: ``is_t_diagnosable``'s search as it was before it
+    read condition (iii) off the least cut.  The referee for the cut's
+    verdicts, fast enough for n = 24, where ``scan_cond_iii`` is not.
+
+    X grows one position at a time, depth first in lexicographic order.
+    Growing a prefix P takes out of its testable set Γ(P) only the members
+    it adds, which lie above P's last position, so P is dropped once
+    |Γ(P)|, less the fewer of the members still to add and the members of
+    Γ(P) above its last position, exceeds p.
+    """
+    n = graph.n
+    out_masks = tuple(graph.out_masks)
+    for p in range(t):
+        size = n - 2 * t + p
+        if size <= 0:  # unreachable once condition (i) holds
+            continue
+        # (members, the nodes they test, last position, members still to
+        # add); children are pushed from the highest position down, so the
+        # lowest is popped first.
+        stack = [(0, 0, -1, size)]
+        while stack:
+            members, reached, last, left = stack.pop()
+            if not left:
+                return CondIIIWitness(
+                    p=p,
+                    members=graph.ids_of(members),
+                    testable=graph.ids_of(reached & ~members),
+                )
+            left -= 1
+            for pos in range(n - 1 - left, last, -1):
+                grown = members | 1 << pos
+                tested = reached | out_masks[pos]
+                outside = tested & ~grown
+                if outside.bit_count() - min(left, (outside >> pos).bit_count()) <= p:
+                    stack.append((grown, tested, pos, left))
+    return None
 
 
 def unseeded_least_cut(testers: list[list[int]], limit: int) -> tuple[int, list[int]]:

@@ -9,9 +9,16 @@ from pathlib import Path
 import pytest
 
 from diagkit import cli
+from diagkit import temporal as tg
 from diagkit.cli import main
+from diagkit.diagnosability import (
+    CondIIIWitness,
+    DiagnosabilityCertificate,
+    Verdict,
+    revalidate_certificate,
+)
 from diagkit.identification import StatusReport
-from diagkit.jsonio import dump_json, graph_to_dict
+from diagkit.jsonio import dump_json, graph_to_dict, load_graph_file, load_syndrome_file
 from diagkit.simulator import scenario
 
 
@@ -24,6 +31,18 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+def localization_recording(capsys, tmp_path, *template):
+    """``localization`` expanded at 100 Hz over [0, 1] s (1,111 vertices)
+    with the ``expand`` template options given; the file's path."""
+    recording = str(tmp_path / "recording.json")
+    assert main([
+        "expand", "localization", "--hz", "100", "--interval", "0", "1",
+        *template, "--out", recording,
+    ]) == 0
+    capsys.readouterr()
+    return recording
 
 
 class TestAnalyze:
@@ -43,6 +62,8 @@ class TestAnalyze:
         assert doc["failed"] == "cond_iii"
         assert doc["witness"]["p"] == 1
         assert len(doc["witness"]["X"]) == 8
+        # The same witness as the refutation analyze prints without --t.
+        assert doc == run_json(capsys, "analyze", "localization")[1]["refutation"]
 
     def test_localization_prints_its_refutation(self, capsys):
         """t_max 1 is below the ceiling 2, so the JSON carries the
@@ -72,12 +93,9 @@ class TestAnalyze:
     def test_large_expansion_is_exact(self, capsys, tmp_path):
         """The 1,111-vertex localization expansion gets its exact t with a
         certificate, and no bounds."""
-        recording = str(tmp_path / "recording.json")
-        assert main([
-            "expand", "localization", "--hz", "100", "--interval", "0", "1",
-            "--offsets", "1,2", "--bidirectional", "--out", recording,
-        ]) == 0
-        capsys.readouterr()
+        recording = localization_recording(
+            capsys, tmp_path, "--offsets", "1,2", "--bidirectional"
+        )
         code, doc, _ = run_json(capsys, "analyze", recording)
         assert code == 0
         assert doc == {
@@ -86,6 +104,29 @@ class TestAnalyze:
             "refutation": None,
             "t_max": 4,
         }
+
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_large_expansion_at_a_given_t(self, capsys, tmp_path, t):
+        """--t on the same expansion reads condition (iii) off the graph's
+        one least cut; a search over subsets did not finish in 20 s."""
+        recording = localization_recording(
+            capsys, tmp_path, "--offsets", "1,2", "--bidirectional"
+        )
+        code, doc, _ = run_json(capsys, "analyze", recording, "--t", str(t))
+        assert (code, doc) == (0, {"t": t, "verdict": "diagnosable"})
+
+    def test_forward_expansion_is_refuted_at_two(self, capsys, tmp_path):
+        """Offsets {1}, forward only: t(D) = 1, and the condition-(iii)
+        witness at t = 2 holds against the flat graph."""
+        recording = localization_recording(capsys, tmp_path, "--offsets", "1")
+        code, doc, _ = run_json(capsys, "analyze", recording, "--t", "2")
+        assert (code, doc["failed"]) == (1, "cond_iii")
+        p, members, testable = (doc["witness"][key] for key in ("p", "X", "gamma"))
+        witness = CondIIIWitness(p, frozenset(members), frozenset(testable))
+        certificate = DiagnosabilityCertificate(
+            2, Verdict.NOT_DIAGNOSABLE, "cond_iii", witness
+        )
+        assert revalidate_certificate(load_graph_file(recording).flat_graph, certificate)
 
     def test_env_var_overrides_cap(self, capsys, monkeypatch):
         """DIAGKIT_EXACT_CAP no longer overrides anything: with it set,
@@ -357,6 +398,44 @@ class TestExpandProfileAudit:
         final = doc["windows"][-1]["nodes"]
         assert final["9"] == "known_faulty"
         assert final["4"] == "known_fault_free"
+
+    def test_audit_vertex_level_json(self, capsys, tmp_path):
+        """--vertex-level adds each window's vertex statuses in the shape of
+        identify --json, which expand to the library's ``vertex_statuses``;
+        without it the document is the same, less those two keys."""
+        recording = localization_recording(
+            capsys, tmp_path, "--offsets", "1,2", "--bidirectional"
+        )
+        syn = str(tmp_path / "s.json")
+        run(capsys, "simulate", recording, "--faults", "0,1,2,500,1000",
+            "--policy", "bernoulli:0.5", "--seed", "3", "--out", syn)
+        windows = "0:0,0:0.5,0:1"
+        code, doc, _ = run_json(
+            capsys, "audit", recording, syn, "--windows", windows, "--vertex-level"
+        )
+        assert code == 1  # a window is inconsistent
+        graph = load_graph_file(recording)
+        report = tg.audit(
+            graph,
+            load_syndrome_file(syn, graph.flat_graph),
+            cli._parse_chain(windows),
+            include_vertices=True,
+        )
+        defaults = []
+        for window, audited in zip(doc["windows"], report.windows, strict=True):
+            listed = window.pop("vertex_statuses")
+            others = window.pop("vertex_others")
+            expanded = {f"{pane}:{nid}": others for pane, nid in audited.vertex_statuses}
+            expanded.update(listed)
+            assert expanded == {
+                f"{pane}:{nid}": status.value
+                for (pane, nid), status in audited.vertex_statuses.items()
+            }
+            assert others not in listed.values()
+            defaults.append(others)
+        assert defaults == ["unknown", "known_fault_free", "unknown"]
+        code, plain, _ = run_json(capsys, "audit", recording, syn, "--windows", windows)
+        assert (code, plain) == (1, doc)
 
     def test_audit_requires_temporal_file(self, capsys, tmp_path):
         syn = tmp_path / "s.json"

@@ -24,8 +24,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import dfs_cond_iii
 from diagkit.cli import main
-from diagkit.diagnosability import is_t_diagnosable, search_ceiling
+from diagkit.diagnosability import search_ceiling
 from diagkit.errors import DiagkitError
 from diagkit.jsonio import graph_from_dict, temporal_from_dict
 
@@ -249,7 +250,8 @@ def test_complete_base_over_four_panes(tmp_path, extra):
     """24 flat vertices, past the size cap that exact t used to have: a
     complete 6-node base, 4 panes at 100 Hz, offsets {1, 2, 3}, both
     directions.  ``t_max`` equals the first level, from the search ceiling
-    down, that ``is_t_diagnosable`` passes."""
+    down, at which the depth-first condition-(iii) search finds no
+    witness."""
     nodes = [{"id": i} for i in range(6)]
     edges = [{"tester": i, "testee": j} for i in range(6) for j in range(6) if i != j]
     base = tmp_path / "base.json"
@@ -266,6 +268,6 @@ def test_complete_base_over_four_panes(tmp_path, extra):
     flat = temporal_from_dict(json.loads(recording.read_text())).flat_graph
     assert flat.n == 24
     t = search_ceiling(flat)
-    while not is_t_diagnosable(flat, t).diagnosable:
+    while dfs_cond_iii(flat, t) is not None:
         t -= 1
     assert document["t_max"] == t == (11 if extra else 8)

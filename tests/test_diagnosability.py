@@ -9,12 +9,14 @@ import pytest
 from conftest import (
     clustered_digraph,
     cycle_syndrome,
+    dfs_cond_iii,
     pair_loop_oracle,
     random_digraph,
     scan_cond_iii,
     scan_t_max,
     unseeded_least_cut,
 )
+from diagkit import diagnosability
 from diagkit.diagnosability import (
     CondIIIWitness,
     CondIIWitness,
@@ -60,11 +62,13 @@ class TestIsTDiagnosable:
         assert witness.p == 1
         assert len(witness.members) == 8
         assert len(witness.testable) <= witness.p
-        # the returned witness is the lexicographically first one; the
-        # documented subset {1,2,3,4,5,8,9,10} is a witness as well
-        assert witness.members == frozenset(range(1, 9))
+        # the returned witness is read off the least cut's minimiser: the
+        # documented subset {1,2,3,4,5,8,9,10}, the refutation that
+        # max_diagnosability prints as well
         pinned = frozenset({1, 2, 3, 4, 5, 8, 9, 10})
-        assert len(testable_set(localization, pinned)) <= 1
+        assert witness.members == pinned
+        assert witness.testable == testable_set(localization, pinned) == {11}
+        assert cert == max_diagnosability(localization).refutation
 
     def test_t_zero_is_trivially_diagnosable(self, five_cycle):
         assert is_t_diagnosable(five_cycle, 0).diagnosable
@@ -164,8 +168,11 @@ class TestMaxDiagnosability:
         exact t.  Node i tests the next k nodes round a cycle of n, which is
         k-diagnosable for n >= 2k + 1 (Preparata, Metze and Chien, 1967)."""
         for n, k in CIRCULANTS:
-            result = max_diagnosability(circulant(n, k))
+            graph = circulant(n, k)
+            result = max_diagnosability(graph)
             assert (result.t_max, result.ceiling, result.refutation) == (k, k, None)
+            assert is_t_diagnosable(graph, k).diagnosable
+            assert not is_t_diagnosable(graph, k + 1).diagnosable
 
     def test_empty_graph(self):
         with pytest.raises(GraphError):
@@ -572,7 +579,8 @@ class TestCutAgainstScan:
 
 
 class TestWitnessSearch:
-    """The pruned depth-first search finds the literal scan's first (p, X)."""
+    """The pruned depth-first search, the checker's referee, finds the
+    literal scan's first (p, X)."""
 
     def test_random_graphs(self):
         rng = random.Random(47)
@@ -586,17 +594,119 @@ class TestWitnessSearch:
             for t in range(1, min(search_ceiling(graph) + 2, (graph.n - 1) // 2 + 1)):
                 if min(graph.in_degrees) < t:
                     continue
-                cert = is_t_diagnosable(graph, t)
+                witness = dfs_cond_iii(graph, t)
                 expected = scan_cond_iii(graph, t)
                 if expected is None:
-                    assert cert.diagnosable
+                    assert witness is None
                     continue
                 found += 1
                 p, members = expected
-                assert cert.failed_condition == "cond_iii"
-                assert cert.witness.p == p
-                assert cert.witness.members == graph.ids_of(members)
+                assert witness.p == p
+                assert witness.members == graph.ids_of(members)
         assert found > 100
+
+
+def referee_condition(graph, t):
+    """The first of conditions (i)-(iii) that fails at t, condition (iii)
+    by the depth-first search, or None."""
+    if graph.n < 2 * t + 1:
+        return "cond_i"
+    if min(graph.in_degrees) < t:
+        return "cond_ii"
+    if dfs_cond_iii(graph, t) is not None:
+        return "cond_iii"
+    return None
+
+
+class TestCutAgainstSearch:
+    """The checker reads condition (iii) off the graph's one least cut; the
+    depth-first search referees its failed condition at every level, the
+    oracle its verdict, and each refutation must revalidate."""
+
+    def test_random_graphs_up_to_twelve_nodes(self):
+        rng = random.Random(61)
+        refuted = 0
+        for trial in range(1500):
+            n = rng.randint(1, 12)
+            if trial % 2:
+                graph = clustered_digraph(rng, n)
+            else:
+                graph = random_digraph(rng, n, rng.random())
+            for t in range((n - 1) // 2 + 1):
+                cert = is_t_diagnosable(graph, t)
+                assert cert.failed_condition == referee_condition(graph, t)
+                if n <= 10:
+                    oracle = oracle_is_t_diagnosable(graph, t)
+                    assert cert.diagnosable == oracle.diagnosable
+                if cert.failed_condition == "cond_iii":
+                    refuted += 1
+                    assert revalidate_certificate(graph, cert)
+        assert refuted > 100
+
+
+class TestOneCutPerGraph:
+    """One ``_least_cut`` serves ``max_diagnosability`` and every level of
+    ``is_t_diagnosable``; ``revalidate_certificate`` runs its own."""
+
+    @pytest.fixture
+    def limits(self, monkeypatch):
+        """The limit of every ``_least_cut`` call, in order."""
+        calls = []
+        cut = diagnosability._least_cut
+
+        def spy(testers, limit):
+            calls.append(limit)
+            return cut(testers, limit)
+
+        monkeypatch.setattr(diagnosability, "_least_cut", spy)
+        return calls
+
+    def graphs(self):
+        """Fresh graphs, none of which has a kept cut yet."""
+        localization = scenario("localization").graph
+        return [
+            DiagnosticGraph(localization.nodes, localization.edges),
+            circulant(30, 5),
+            localization_expansion(),
+            guarded_clique(5),
+        ]
+
+    @pytest.mark.parametrize("levels_first", [False, True])
+    def test_one_cut_for_every_level(self, limits, levels_first):
+        for graph in self.graphs():
+            ceiling = search_ceiling(graph)
+            limits.clear()
+            if levels_first:
+                certs = [is_t_diagnosable(graph, t) for t in range(ceiling + 2)]
+                result = max_diagnosability(graph)
+            else:
+                result = max_diagnosability(graph)
+                certs = [is_t_diagnosable(graph, t) for t in range(ceiling + 2)]
+            assert limits == [2 * ceiling + 1]
+            assert [cert.diagnosable for cert in certs] == [
+                t <= result.t_max for t in range(ceiling + 2)
+            ]
+            if result.refutation is not None:
+                assert certs[result.t_max + 1] == result.refutation
+
+    def test_revalidation_cuts_afresh(self, limits):
+        for graph in self.graphs():
+            result = max_diagnosability(graph)
+            for cert in (result.certificate, is_t_diagnosable(graph, result.t_max)):
+                limits.clear()
+                assert revalidate_certificate(graph, cert)
+                assert limits == [2 * result.t_max + 1]
+
+    def test_revalidation_does_not_read_the_kept_cut(self):
+        """A kept cut that claims more than the graph has: the checker
+        trusts it, the revalidation does not."""
+        graph = self.graphs()[0]
+        assert not is_t_diagnosable(graph, 2)
+        ceiling, _, _ = vars(graph)["_cut"]
+        vars(graph)["_cut"] = (ceiling, 2 * ceiling + 1, ())
+        claimed = is_t_diagnosable(graph, 2)
+        assert claimed.diagnosable
+        assert not revalidate_certificate(graph, claimed)
 
 
 class TestAgreementWithOracle:
