@@ -20,8 +20,9 @@ polynomial time, once per graph, and the set W that attains it, read as a
 condition-(iii) witness, refutes every t from t(D) + 1 to the ceiling.
 
 Alongside lives a definition-level brute-force oracle that scans the unions
-of two small fault sets for a pair sharing a syndrome; it and the checker
-must always agree, and the test suite holds them to that.
+of two fault sets, once per graph, for the least t at which a pair shares a
+syndrome; it and the checker must always agree, and the test suite holds
+them to that.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .graph import (
     DiagnosticGraph,
     NodeId,
     Syndrome,
-    min_in_degree,
     testable_set,
     tested_by,
 )
@@ -142,14 +142,16 @@ def is_t_diagnosable(graph: DiagnosticGraph, t: int) -> DiagnosabilityCertificat
         return DiagnosabilityCertificate(
             t, Verdict.NOT_DIAGNOSABLE, "cond_i", CondIWitness(n=n, required=2 * t + 1)
         )
-    for nid, degree in zip(graph.node_ids, graph.in_degrees):
-        if degree < t:
-            return DiagnosabilityCertificate(
-                t,
-                Verdict.NOT_DIAGNOSABLE,
-                "cond_ii",
-                CondIIWitness(node=nid, in_degree=degree),
-            )
+    degrees = graph.in_degrees
+    if t > min(degrees):
+        for nid, degree in zip(graph.node_ids, degrees):
+            if degree < t:
+                return DiagnosabilityCertificate(
+                    t,
+                    Verdict.NOT_DIAGNOSABLE,
+                    "cond_ii",
+                    CondIIWitness(node=nid, in_degree=degree),
+                )
     if t:  # at t = 0, m >= 1 > 2t with no cut
         _, m, least = _graph_cut(graph)
         if m <= 2 * t:
@@ -158,10 +160,17 @@ def is_t_diagnosable(graph: DiagnosticGraph, t: int) -> DiagnosabilityCertificat
 
 
 def _testers(graph: DiagnosticGraph) -> list[list[int]]:
-    """Per position, the positions that test it."""
+    """Per position, the positions that test it, ascending."""
     testers: list[list[int]] = [[] for _ in range(graph.n)]
-    for tester, testee in graph.position_pairs():
-        testers[testee].append(tester)
+    for tester, row in enumerate(graph.out_masks):
+        # Shifted down to its lowest bit, a row of a large graph costs its
+        # few bits, not its length, per step.
+        offset = (row & -row).bit_length() - 1 if row else 0
+        row >>= offset
+        while row:
+            low = row & -row
+            testers[offset + low.bit_length() - 1].append(tester)
+            row ^= low
     return testers
 
 
@@ -333,8 +342,9 @@ def revalidate_certificate(
 
 def search_ceiling(graph: DiagnosticGraph) -> int:
     """Upper limit of the search: min(minimum in-degree, floor((n-1)/2))."""
-    degree, _ = min_in_degree(graph)
-    return min(degree, (graph.n - 1) // 2)
+    if not graph.n:
+        raise GraphError("empty graph")
+    return min(min(graph.in_degrees), (graph.n - 1) // 2)
 
 
 def _graph_cut(graph: DiagnosticGraph) -> tuple[int, int, tuple[int, ...]]:
@@ -450,16 +460,45 @@ def _shared_syndrome(graph: DiagnosticGraph, mask_a: int, mask_b: int) -> Syndro
     return Syndrome._from_masks(graph, failed)
 
 
-def _some_union_collides(bits: list[int], from_outside: list[int], t: int) -> bool:
-    """Whether some union U of at most 2t positions has d >= 1 and
-    |Z| + ⌈d/2⌉ <= t, that is |Z| < |U| and |U| + |Z| <= 2t, where
-    Z = U & from_outside[U] and d = |U| - |Z|."""
-    for size in range(1, min(2 * t, len(bits)) + 1):
-        room = min(size - 1, 2 * t - size)  # the most |Z| may be
-        for union in map(sum, itertools.combinations(bits, size)):
-            if (union & from_outside[union]).bit_count() <= room:
-                return True
-    return False
+def _least_collision(graph: DiagnosticGraph) -> tuple[int, int, int]:
+    """(L, U, Z): L the least |Z| + ⌈d/2⌉ over unions U of nodes with
+    d >= 1, where Z = U & from_outside[U] are the members of U tested from
+    outside it and d = |U| - |Z|; U the first union attaining L, by size and
+    then lexicographically.
+
+    |Z| + ⌈d/2⌉ = ⌈(|U| + |Z|)/2⌉ >= ⌈|U|/2⌉, so the scan stops at the
+    first size whose half reaches the least value found; the whole node set
+    (Z empty) bounds L by ⌈n/2⌉.  The result is kept in the graph's
+    instance dict, as :func:`_graph_cut` keeps the cut; the table of 2**n
+    entries is not.
+    """
+    found = vars(graph).get("_collision")
+    if found is None:
+        # from_outside[U]: the nodes tested by some node outside U.  Each
+        # node doubles the table; the sets without it (the lower half) gain
+        # its tests.
+        from_outside = [0]
+        for out in graph.out_masks:
+            from_outside = [reached | out for reached in from_outside] + from_outside
+        # Positions ascend with ids, so combinations of the bits come
+        # lexicographically.
+        bits = [1 << pos for pos in range(graph.n)]
+        best = graph.n + 1
+        for size in range(1, graph.n + 1):
+            # U beats ``best`` iff |Z| < |U| and |U| + |Z| <= 2·best - 2.
+            room = min(size - 1, 2 * best - 2 - size)
+            if room < 0:
+                break
+            for union in map(sum, itertools.combinations(bits, size)):
+                inside = union & from_outside[union]
+                if inside.bit_count() <= room:
+                    best = (size + inside.bit_count() + 1) // 2
+                    found = (best, union, inside)
+                    room = min(size - 1, 2 * best - 2 - size)
+                    if room < 0:
+                        break
+        vars(graph)["_collision"] = found
+    return found
 
 
 def oracle_is_t_diagnosable(
@@ -469,19 +508,19 @@ def oracle_is_t_diagnosable(
 
     Two distinct fault sets A and B of size at most t admit a shared
     syndrome exactly when no node on which they disagree is tested from
-    outside their union U = A | B.  The verdict comes from a scan of every
-    U of at most 2t nodes, by size:
+    outside their union U = A | B.  So the nodes Z of U tested from outside
+    it must lie in A & B, and the d = |U| - |Z| others can be split between
+    A and B: some pair with union U collides at t iff d >= 1 and
+    |Z| + ⌈d/2⌉ <= t.  A union that collides at t collides at every larger
+    t, so one scan of the unions, by size, per graph finds the least such
+    value L and the first union attaining it (:func:`_least_collision`),
+    and the graph is t-diagnosable iff t < L.
 
-      Z = U & from_outside[U], the nodes of U tested from outside U, must
-      lie in A & B; the d = |U| - |Z| other nodes can be split between A
-      and B; so some pair with union U collides iff d >= 1 and
-      |Z| + ⌈d/2⌉ <= t.
-
-    Only when some U collides are the pairs of distinct fault sets of size
-    at most t walked (by size, then lexicographically), to report the first
-    one admitting a shared syndrome.  Exponential by design, in memory too
-    (both read a table of 2**n entries); it exists to referee the checker,
-    not to replace it.
+    At a refuted level the counterexample is that union split: A is Z plus
+    the first ⌊d/2⌋ other members, B is Z plus the rest, each of at most
+    L <= t members.  Exponential by design, in memory too (the scan reads
+    a table of 2**n entries); it exists to referee the checker, not to
+    replace it.
     """
     n = _check_args(graph, t)
     if n > cap:
@@ -490,29 +529,19 @@ def oracle_is_t_diagnosable(
         )
     if t == 0:  # the empty set is the only fault set: no pair to tell apart
         return OracleResult(t=t, diagnosable=True, counterexample=None)
-    # Positions ascend with ids, so combinations of the bits come by size,
-    # then lexicographically.
-    bits = [1 << pos for pos in range(n)]
-    # from_outside[U]: the nodes tested by some node outside U.  Each node
-    # doubles the table; the sets without it (the lower half) gain its tests.
-    from_outside = [0]
-    for out in graph.out_masks:
-        from_outside = [reached | out for reached in from_outside] + from_outside
-    if not _some_union_collides(bits, from_outside, t):
+    least, union, inside = _least_collision(graph)
+    if t < least:
         return OracleResult(t=t, diagnosable=True, counterexample=None)
-    subsets = [
-        sum(combo) for size in range(t + 1) for combo in itertools.combinations(bits, size)
-    ]
-    for index, mask_a in enumerate(subsets):
-        for mask_b in itertools.islice(subsets, index + 1, None):
-            if not (mask_a ^ mask_b) & from_outside[mask_a | mask_b]:
-                return OracleResult(
-                    t=t,
-                    diagnosable=False,
-                    counterexample=OracleCounterexample(
-                        graph.ids_of(mask_a),
-                        graph.ids_of(mask_b),
-                        _shared_syndrome(graph, mask_a, mask_b),
-                    ),
-                )
-    raise AssertionError(f"a union collides at t = {t} but no pair does")
+    rest = union & ~inside
+    for _ in range(rest.bit_count() // 2):
+        rest &= rest - 1  # B's share: all but the first ⌊d/2⌋ of U - Z
+    mask_a, mask_b = union & ~rest, inside | rest
+    return OracleResult(
+        t=t,
+        diagnosable=False,
+        counterexample=OracleCounterexample(
+            graph.ids_of(mask_a),
+            graph.ids_of(mask_b),
+            _shared_syndrome(graph, mask_a, mask_b),
+        ),
+    )

@@ -113,12 +113,15 @@ class FlatRows(Sequence):
     the template column: one bit at the start of each pane an offset
     ahead, and behind when bidirectional, shifted to position p, or spread
     over every position of those panes across modules.  Reading one row
-    computes it.  Iterating, slicing and comparing take the full pass,
-    which writes every row once and keeps the tuple; indexing then reads
-    that tuple.  The sequence compares equal to the tuple of its rows.
+    computes it once and keeps it, so a syndrome reader that checks a
+    failed test's edge and the identification search that reads the same
+    tester's row share one computation.  Iterating, slicing and comparing
+    take the full pass, which writes every row once and keeps the tuple;
+    indexing then reads that tuple.  The sequence compares equal to the
+    tuple of its rows.
     """
 
-    __slots__ = ("_base", "_count", "_template", "_rows")
+    __slots__ = ("_base", "_count", "_template", "_rows", "_read")
 
     def __init__(
         self, base_rows: Sequence[int], count: int, template: TemporalTemplate
@@ -127,6 +130,7 @@ class FlatRows(Sequence):
         self._count = count
         self._template = template
         self._rows: tuple[int, ...] | None = None
+        self._read: dict[int, int] = {}  # rows read one at a time, by index
 
     def __len__(self) -> int:
         return self._count * len(self._base)
@@ -167,6 +171,7 @@ class FlatRows(Sequence):
                     spread = column * full  # every position of those panes
                     written.extend(row << start | spread for row in base)
             rows = self._rows = tuple(written)
+            self._read.clear()
         return rows
 
     def __getitem__(self, key):
@@ -180,14 +185,17 @@ class FlatRows(Sequence):
             i += size
         if not 0 <= i < size:
             raise IndexError("row index out of range")
-        width = len(self._base)
-        index, p = divmod(i, width)
-        column = self._column(index)
-        if self._template.base_identity_only:
-            column <<= p
-        else:
-            column *= (1 << width) - 1
-        return self._base[p] << index * width | column
+        row = self._read.get(i)
+        if row is None:
+            width = len(self._base)
+            index, p = divmod(i, width)
+            column = self._column(index)
+            if self._template.base_identity_only:
+                column <<= p
+            else:
+                column *= (1 << width) - 1
+            row = self._read[i] = self._base[p] << index * width | column
+        return row
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._all_rows())

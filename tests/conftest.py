@@ -174,8 +174,8 @@ def pair_loop_oracle(graph: DiagnosticGraph, t: int) -> tuple[int, int] | None:
     """The first pair of distinct fault-set masks of size at most t that
     admit a shared syndrome, by size and then lexicographically, or None:
     ``oracle_is_t_diagnosable`` as it was before it scanned unions, every
-    ordered pair tried one by one.  The referee for the union scan, which
-    must give the same verdict and the same pair."""
+    ordered pair tried one by one.  The referee of the union scan's
+    verdict; the pair the scan names is split from a union instead."""
     bits = [1 << pos for pos in range(graph.n)]
     subsets = [
         sum(combo) for size in range(t + 1) for combo in itertools.combinations(bits, size)

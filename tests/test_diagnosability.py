@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -41,6 +42,7 @@ from diagkit.graph import (
 )
 from diagkit.simulator import scenario
 from diagkit.temporal import Interval, TemporalTemplate, expand
+from test_referees import check_counterexample
 
 
 class TestIsTDiagnosable:
@@ -254,10 +256,8 @@ class TestOracleUnionStep:
         if diagnosable:
             assert expected is None and result.counterexample is None
         else:
-            pair = result.counterexample
-            assert (pair.fault_set_a, pair.fault_set_b) == tuple(
-                map(graph.ids_of, expected)
-            )
+            assert expected is not None
+            check_counterexample(graph, t, result.counterexample)
 
     @pytest.mark.parametrize(
         "build, d, t, diagnosable",
@@ -271,6 +271,19 @@ class TestOracleUnionStep:
     def test_five_cycle(self, five_cycle):
         self.check(five_cycle, 1, True)
         self.check(five_cycle, 2, False)
+        # The first union to collide is {1, 2}, with Z = {1}: 5 tests 1
+        # from outside it, and only 1 tests 2.  Z alone is the smaller side.
+        pair = oracle_is_t_diagnosable(five_cycle, 2).counterexample
+        assert (pair.fault_set_a, pair.fault_set_b) == ({1}, {1, 2})
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_guarded_clique_is_split_in_its_first_union(self, d):
+        """D ∪ {z}, with Z = {z}: A is z and the first ⌊d/2⌋ nodes of D,
+        B is z and the rest."""
+        pair = oracle_is_t_diagnosable(guarded_clique(d), 4).counterexample
+        z, half = d + 1, d // 2
+        assert pair.fault_set_a == {*range(1, half + 1), z}
+        assert pair.fault_set_b == {*range(half + 1, d + 1), z}
 
     def test_dense_graph_of_fourteen_nodes_at_its_ceiling(self):
         graph = random_digraph(random.Random(5), 14, 0.9)
@@ -279,6 +292,17 @@ class TestOracleUnionStep:
         # Every union of up to 12 of the 14 nodes is scanned.
         assert oracle_is_t_diagnosable(graph, ceiling).diagnosable
         assert is_t_diagnosable(graph, ceiling).diagnosable
+
+    def test_dense_graph_of_fourteen_nodes_above_its_ceiling(self):
+        """At t = 7 the earlier pair loop walked pairs for seconds before
+        the first colliding one; the split union is named at once."""
+        graph = random_digraph(random.Random(5), 14, 0.9)
+        start = time.perf_counter()
+        result = oracle_is_t_diagnosable(graph, 7)
+        assert time.perf_counter() - start < 1
+        assert not result.diagnosable
+        assert not is_t_diagnosable(graph, 7).diagnosable
+        check_counterexample(graph, 7, result.counterexample)
 
 
 def f_of(graph, positions):

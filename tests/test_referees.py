@@ -4,8 +4,10 @@
 candidate on bitmasks.  The loops below spell each definition out over node
 ids and edges instead, so the referees stay held to the model itself.  The
 oracle decides its verdict from unions of fault sets; on graphs past the
-literal loops' reach it is held to its earlier pair loop
-(``conftest.pair_loop_oracle``).
+literal loops' reach its verdict is held to its earlier pair loop
+(``conftest.pair_loop_oracle``).  The pair it names is split from a union,
+not the pair loop's first, so it is held to what a counterexample must be
+(:func:`check_counterexample`).
 """
 
 import random
@@ -56,6 +58,19 @@ def forced_outcomes(graph, a, b):
         else:
             outcomes[edge.pair] = 0
     return Syndrome(outcomes)
+
+
+def check_counterexample(graph, t, pair):
+    """The oracle's named pair: two distinct sets of at most t members, the
+    smaller first, that the returned syndrome fits, both by the mask
+    predicate and literally; it is the syndrome both sets force."""
+    a, b = pair.fault_set_a, pair.fault_set_b
+    assert a != b and len(a) <= len(b) <= t
+    for members in (a, b):
+        assert pmc_compatible(graph, pair.syndrome, members)
+        assert literal_compatible(graph, pair.syndrome, members)
+    assert pair.syndrome == common_syndrome(graph, a, b)
+    assert pair.syndrome == forced_outcomes(graph, a, b)
 
 
 def syndromes_for(rng, graph):
@@ -118,32 +133,22 @@ class TestOracleReferee:
         for _ in range(200):
             graph = random_digraph(rng, rng.randint(1, 8), rng.random())
             # Every t up to the ceiling, plus one above it, where most
-            # graphs are refuted and the first pair's order shows.
+            # graphs are refuted.
             for t in range(min(search_ceiling(graph) + 2, graph.n)):
                 subsets = [frozenset(c) for c in iter_subsets(graph.node_ids, t)]
-                expected = next(
-                    (
-                        (a, b)
-                        for index, a in enumerate(subsets)
-                        for b in subsets[index + 1 :]
-                        if literal_share_a_syndrome(graph, a, b)
-                    ),
-                    None,
+                collides = any(
+                    literal_share_a_syndrome(graph, a, b)
+                    for index, a in enumerate(subsets)
+                    for b in subsets[index + 1 :]
                 )
                 result = oracle_is_t_diagnosable(graph, t)
                 assert result.t == t
-                assert result.diagnosable == (expected is None)
-                if expected is None:
+                assert result.diagnosable == (not collides)
+                if not collides:
                     assert result.counterexample is None
                     continue
                 refuted += 1
-                pair = result.counterexample
-                assert (pair.fault_set_a, pair.fault_set_b) == expected
-                for members in expected:
-                    assert pmc_compatible(graph, pair.syndrome, members)
-                    assert literal_compatible(graph, pair.syndrome, members)
-                assert pair.syndrome == forced_outcomes(graph, *expected)
-                assert pair.syndrome == common_syndrome(graph, *expected)
+                check_counterexample(graph, t, result.counterexample)
         assert refuted > 100
 
     def test_union_scan_matches_the_pair_loop_from_nine_to_twelve_nodes(self):
@@ -165,11 +170,24 @@ class TestOracleReferee:
                     decided_by_scan += t > 0
                     continue
                 refuted += 1
-                a, b = map(graph.ids_of, expected)
-                pair = result.counterexample
-                assert (pair.fault_set_a, pair.fault_set_b) == (a, b)
-                assert pair.syndrome == common_syndrome(graph, a, b)
+                check_counterexample(graph, t, result.counterexample)
         assert refuted > 40 and decided_by_scan > 70
+
+    def test_levels_asked_in_either_order_agree(self):
+        """The oracle keeps one scan's result per graph: asking the levels
+        from the top down gives the verdicts and pairs of asking them from
+        the bottom up, each on a fresh copy of the graph."""
+        rng = random.Random(4040)
+        for index in range(60):
+            n = rng.randint(2, 10)
+            up = (
+                clustered_digraph(rng, n) if index % 2
+                else random_digraph(rng, n, rng.random())
+            )
+            down = DiagnosticGraph(up.nodes, up.edges)
+            ascending = [oracle_is_t_diagnosable(up, t) for t in range(n)]
+            descending = [oracle_is_t_diagnosable(down, t) for t in reversed(range(n))]
+            assert ascending == descending[::-1]
 
 
 class TestRefereeErrors:
