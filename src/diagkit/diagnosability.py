@@ -28,8 +28,9 @@ them to that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import GraphError, SizeCapError
@@ -409,11 +410,21 @@ def max_diagnosability(graph: DiagnosticGraph) -> MaxDiagnosability:
 
 @dataclass(frozen=True)
 class OracleCounterexample:
-    """Two distinct small fault sets that some syndrome cannot tell apart."""
+    """Two distinct small fault sets of ``graph`` that some syndrome cannot
+    tell apart.  ``syndrome`` is the one both sets force, as
+    :func:`common_syndrome` gives it, built on first read: a verdict alone
+    never needs it."""
 
     fault_set_a: frozenset[NodeId]
     fault_set_b: frozenset[NodeId]
-    syndrome: Syndrome
+    graph: DiagnosticGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def syndrome(self) -> Syndrome:
+        graph = self.graph
+        return _shared_syndrome(
+            graph, graph.mask_of(self.fault_set_a), graph.mask_of(self.fault_set_b)
+        )
 
 
 @dataclass(frozen=True)
@@ -540,8 +551,6 @@ def oracle_is_t_diagnosable(
         t=t,
         diagnosable=False,
         counterexample=OracleCounterexample(
-            graph.ids_of(mask_a),
-            graph.ids_of(mask_b),
-            _shared_syndrome(graph, mask_a, mask_b),
+            graph.ids_of(mask_a), graph.ids_of(mask_b), graph
         ),
     )

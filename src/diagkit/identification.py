@@ -13,6 +13,11 @@ once more than t modules are assumed faulty, so the search is exact for
 every t and fast for the small budgets these graphs call for.  The search
 keeps its branches on an explicit stack, so graph size meets no recursion
 limit.
+
+Its referee, :func:`all_consistent_fault_sets`, shares none of this: it
+tests every subset of at most 14 nodes against the syndrome at once, with
+one integer of 2**n bits per node, bit F standing for the subset with
+position mask F.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .graph import (
     NodeId,
     Syndrome,
     failed_masks,
-    pmc_fits,
 )
 
 DEFAULT_CANDIDATE_LIMIT = 64
@@ -254,28 +258,57 @@ def all_consistent_fault_sets(
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[frozenset[NodeId]]:
-    """Brute-force referee for :func:`identify`: try every subset directly.
+    """Brute-force referee for :func:`identify`: test every subset at once.
 
     Returns all compatible fault sets of size <= t, sorted by size then
-    lexicographically.  Exhaustive over all subsets, hence the node cap.
-    Each subset is tested by the ``pmc_compatible`` predicate on bitmasks.
+    lexicographically.  Exhaustive over all 2**n subsets, hence the node
+    cap.  Each subset is tested by the ``pmc_compatible`` predicate, for
+    all of them together: bit F of an integer stands for the subset with
+    position mask F, so one integer of 2**n bits per node says which
+    subsets hold it, and the predicate costs one AND per edge.  F fits iff
+    every tester u is in F or reported each testee's membership in F.  The
+    call keeps n + min(t, n) + O(1) such integers, 2 KiB each at 14 nodes.
     """
     failed = _require_inputs(graph, syndrome, t)
-    if graph.n > cap:
+    n = graph.n
+    if n > cap:
         raise SizeCapError(
             f"exhaustive enumeration restricted to small graphs (n <= {cap}, "
-            f"got {graph.n})"
+            f"got {n})"
         )
-    out_masks = tuple(graph.out_masks)
-    # Positions ascend with ids, so combinations of the bits come by size,
-    # then lexicographically.
-    bits = [1 << pos for pos in range(graph.n)]
-    return [
-        graph.ids_of(mask)
-        for size in range(min(t, graph.n) + 1)
-        for mask in map(sum, itertools.combinations(bits, size))
-        if pmc_fits(out_masks, failed, mask)
-    ]
+    top = min(t, n)
+    # Doubling over the positions: once x is added, the subsets holding x
+    # are the copies of the earlier ones shifted up by 2**x.  ``member[x]``
+    # holds the subsets with x in them, ``size[k]`` those of k members.
+    full = 1
+    member: list[int] = []
+    size = [1] + [0] * top
+    for x in range(n):
+        half = 1 << x
+        for index, mask in enumerate(member):
+            member[index] = mask | mask << half
+        member.append(full << half)
+        for k in range(top, 0, -1):
+            size[k] |= size[k - 1] << half
+        full |= full << half
+    fits = full
+    for u, (out, flagged) in enumerate(zip(graph.out_masks, failed)):
+        truthful = full
+        while out:
+            low = out & -out
+            out ^= low
+            v = low.bit_length() - 1
+            truthful &= member[v] if flagged & low else full ^ member[v]
+        fits &= member[u] | truthful
+    found: list[frozenset[NodeId]] = []
+    for layer in size:
+        hits, masks = fits & layer, []
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            masks.append(low.bit_length() - 1)
+        found.extend(map(frozenset, sorted(map(graph.id_tuple, masks))))
+    return found
 
 
 def _spread(masks: list[int]) -> tuple[int, int]:

@@ -9,7 +9,15 @@ from typing import Iterator, Sequence
 import pytest
 
 from diagkit.diagnosability import CondIIIWitness
-from diagkit.graph import DiagnosticGraph, Edge, Node, Syndrome
+from diagkit.graph import (
+    DiagnosticGraph,
+    Edge,
+    Node,
+    NodeId,
+    Syndrome,
+    failed_masks,
+    pmc_fits,
+)
 from diagkit.simulator import scenario
 
 # Edge order of the five-processor cycle; the syndrome tuples used all over
@@ -188,6 +196,25 @@ def pair_loop_oracle(graph: DiagnosticGraph, t: int) -> tuple[int, int] | None:
             if not (mask_a ^ mask_b) & from_outside[mask_a | mask_b]:
                 return mask_a, mask_b
     return None
+
+
+def scan_fault_sets(
+    graph: DiagnosticGraph, syndrome: Syndrome, t: int
+) -> list[frozenset[NodeId]]:
+    """``all_consistent_fault_sets`` as it was before it tested every subset
+    at once: one ``pmc_fits`` call per subset of at most t members, by size
+    and then lexicographically.  The referee of the bit-sliced scan."""
+    failed = failed_masks(graph, syndrome)
+    out_masks = tuple(graph.out_masks)
+    # Positions ascend with ids, so combinations of the bits come by size,
+    # then lexicographically.
+    bits = [1 << pos for pos in range(graph.n)]
+    return [
+        graph.ids_of(mask)
+        for size in range(min(t, graph.n) + 1)
+        for mask in map(sum, itertools.combinations(bits, size))
+        if pmc_fits(out_masks, failed, mask)
+    ]
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> DiagnosticGraph:

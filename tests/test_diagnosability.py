@@ -191,6 +191,8 @@ class TestOracle:
         pair = result.counterexample
         assert pair.fault_set_a != pair.fault_set_b
         assert len(pair.fault_set_a) <= 2 and len(pair.fault_set_b) <= 2
+        assert "syndrome" not in vars(pair)  # built on first read, then kept
+        assert pair.syndrome is pair.syndrome
         assert pmc_compatible(five_cycle, pair.syndrome, pair.fault_set_a)
         assert pmc_compatible(five_cycle, pair.syndrome, pair.fault_set_b)
 

@@ -14,15 +14,22 @@ import random
 
 import pytest
 
-from conftest import clustered_digraph, iter_subsets, pair_loop_oracle, random_digraph
+from conftest import (
+    clustered_digraph,
+    iter_subsets,
+    pair_loop_oracle,
+    random_digraph,
+    scan_fault_sets,
+)
 from diagkit.diagnosability import (
     common_syndrome,
     oracle_is_t_diagnosable,
     search_ceiling,
 )
 from diagkit.errors import SizeCapError, SyndromeError
-from diagkit.graph import DiagnosticGraph, Node, Syndrome, pmc_compatible
+from diagkit.graph import DiagnosticGraph, Edge, Node, Syndrome, pmc_compatible
 from diagkit.identification import all_consistent_fault_sets
+from diagkit.simulator import adversarial, bernoulli, generate_syndrome
 
 
 def literal_compatible(graph, syndrome, fault_set):
@@ -73,6 +80,30 @@ def check_counterexample(graph, t, pair):
     assert pair.syndrome == forced_outcomes(graph, a, b)
 
 
+def spread_digraph(rng, n, p):
+    """A ``random_digraph`` on n ids spread over 1..5n instead of 1..n."""
+    ids = sorted(rng.sample(range(1, 5 * n + 1), n))
+    dense = random_digraph(rng, n, p)
+    return DiagnosticGraph.build(
+        [Node(nid) for nid in ids],
+        [Edge(ids[edge.tester - 1], ids[edge.testee - 1]) for edge in dense.edges],
+    )
+
+
+def policy_syndromes(rng, graph):
+    """(policy, syndrome): uniform outcomes; up to four faults whose own
+    tests fail with probability 1/2; and, when at most five outcomes are
+    free, the adversarial choice for up to two faults."""
+    yield "uniform", Syndrome({edge.pair: rng.randint(0, 1) for edge in graph.edges})
+    faults = rng.sample(graph.node_ids, rng.randint(0, min(4, graph.n)))
+    yield "bernoulli", generate_syndrome(
+        graph, faults, bernoulli(0.5), rng.getrandbits(32)
+    )
+    few = rng.sample(graph.node_ids, rng.randint(0, min(2, graph.n)))
+    if sum(edge.tester in few for edge in graph.edges) <= 5:
+        yield "adversarial", generate_syndrome(graph, few, adversarial())
+
+
 def syndromes_for(rng, graph):
     """A uniform random syndrome, one produced by random faults, all-pass."""
     yield Syndrome({edge.pair: rng.randint(0, 1) for edge in graph.edges})
@@ -92,16 +123,63 @@ def syndromes_for(rng, graph):
 
 class TestConsistentFaultSetsReferee:
     def test_matches_per_subset_filters_in_order(self):
+        """Random graphs of up to 9 nodes, on ids 1..n and on ids spread
+        apart, the graphs without nodes or with one, at budgets from 0 to
+        n + 2 and at 10**9, which costs what n does; and graphs of 10 to 14
+        nodes at budgets up to 3."""
         rng = random.Random(4242)
-        for _ in range(120):
-            graph = random_digraph(rng, rng.randint(1, 9), rng.random())
+        graphs = [random_digraph(rng, rng.randint(1, 9), rng.random()) for _ in range(120)]
+        graphs += [spread_digraph(rng, rng.randint(1, 9), rng.random()) for _ in range(40)]
+        empty = DiagnosticGraph.build([], [])
+        graphs += [empty, random_digraph(rng, 1, 0.0)]
+        for graph in graphs:
             for syndrome in syndromes_for(rng, graph):
-                for t in (0, 1, 2, rng.randint(3, graph.n + 2)):
-                    subsets = [frozenset(c) for c in iter_subsets(graph.node_ids, t)]
-                    literal = [f for f in subsets if literal_compatible(graph, syndrome, f)]
-                    filtered = [f for f in subsets if pmc_compatible(graph, syndrome, f)]
-                    assert all_consistent_fault_sets(graph, syndrome, t) == literal
-                    assert filtered == literal
+                subsets = [frozenset(c) for c in iter_subsets(graph.node_ids, graph.n)]
+                literal = [f for f in subsets if literal_compatible(graph, syndrome, f)]
+                filtered = [f for f in subsets if pmc_compatible(graph, syndrome, f)]
+                assert filtered == literal
+                for t in (0, 1, 2, rng.randint(0, graph.n + 2), 10**9):
+                    expected = [f for f in literal if len(f) <= t]
+                    assert all_consistent_fault_sets(graph, syndrome, t) == expected
+        for t in (0, 1, 10**9):
+            assert all_consistent_fault_sets(empty, Syndrome({}), t) == [frozenset()]
+        for n in (10, 11, 12, 13, 14):
+            for graph in (
+                random_digraph(rng, n, rng.uniform(0.1, 0.5)),
+                spread_digraph(rng, n, rng.uniform(0.1, 0.5)),
+            ):
+                for syndrome in syndromes_for(rng, graph):
+                    for t in range(4):
+                        subsets = [frozenset(c) for c in iter_subsets(graph.node_ids, t)]
+                        literal = [
+                            f for f in subsets if literal_compatible(graph, syndrome, f)
+                        ]
+                        assert all_consistent_fault_sets(graph, syndrome, t) == literal
+
+    def test_bit_sliced_scan_matches_the_per_subset_scan(self):
+        """Every budget from 0 to n + 1 on 1,000 graphs of up to 12 nodes,
+        and up to 14 on a few graphs of 13 and 14 nodes, under uniform,
+        Bernoulli and adversarial syndromes."""
+        rng = random.Random(2525)
+        adversarial_seen = 0
+        cases = []
+        for index in range(1000):
+            n = rng.randint(1, 12)
+            graph = (
+                clustered_digraph(rng, n) if index % 2
+                else random_digraph(rng, n, rng.random())
+            )
+            cases.append((graph, range(n + 2)))
+        for n in (13, 13, 14, 14):
+            cases.append((random_digraph(rng, n, rng.uniform(0.1, 0.9)), range(15)))
+        for graph, budgets in cases:
+            for policy, syndrome in policy_syndromes(rng, graph):
+                adversarial_seen += policy == "adversarial"
+                scan = scan_fault_sets(graph, syndrome, budgets[-1])
+                for t in budgets:
+                    expected = [f for f in scan if len(f) <= t]
+                    assert all_consistent_fault_sets(graph, syndrome, t) == expected
+        assert adversarial_seen > 300
 
     def test_strict_compatibility_is_consistency_plus_truthful_passes(self):
         rng = random.Random(99)
