@@ -83,10 +83,15 @@ def _template_from_args(args: argparse.Namespace) -> TemporalTemplate:
 
 
 def _certificate_lines(cert: dx.DiagnosabilityCertificate) -> str:
+    """The verdict at t; a refutation names its failed condition and the two
+    fault sets, of at most t members each, that share a syndrome."""
     if cert.diagnosable:
         return f"t = {cert.t}: diagnosable"
-    witness = cert.witness.to_json_dict() if cert.witness else {}
-    return f"t = {cert.t}: not diagnosable ({cert.failed_condition}, witness {witness})"
+    pair = cert.witness
+    return (
+        f"t = {cert.t}: not diagnosable ({cert.failed_condition}): fault sets "
+        f"{sorted(pair.fault_set_a)} and {sorted(pair.fault_set_b)} share a syndrome"
+    )
 
 
 # ---------------------------------------------------------------------------

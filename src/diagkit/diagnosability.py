@@ -1,8 +1,8 @@
 """Deciding how many simultaneous faults a diagnostic graph can pin down.
 
-A graph is t-diagnosable when every syndrome produced by at most t faulty
-modules determines the faulty set uniquely.  The checker decides this with
-three structural conditions:
+A graph is t-diagnosable when no two distinct fault sets of at most t
+modules can produce the same syndrome (Preparata, Metze & Chien, 1967).
+The checker decides this with three structural conditions:
 
   (i)   n >= 2t + 1,
   (ii)  every node is tested by at least t others,
@@ -12,17 +12,24 @@ three structural conditions:
 Conditions (i) and (ii) are read off the node count and the in-degrees;
 together they bound t by the search ceiling, min(minimum in-degree,
 ⌊(n − 1)/2⌋).  Condition (iii) and the largest t, t(D), both follow from
-one quantity, m, the least |W| + 2·|T(W) \\ W| over nonempty node sets W
-and T(W) their testers (Hakimi & Amin, IEEE Trans. Computers C-23(1),
-1974; Sullivan, FOCS 1984): given (i) and (ii), condition (iii) holds at t
-exactly when m > 2t, so t(D) = ⌊(m − 1)/2⌋.  m is found by minimum cuts in
-polynomial time, once per graph, and the set W that attains it, read as a
-condition-(iii) witness, refutes every t from t(D) + 1 to the ceiling.
+one quantity, m, the least f(W) = |W| + 2·|T(W) \\ W| over nonempty node
+sets W and T(W) their testers (Hakimi & Amin, IEEE Trans. Computers
+C-23(1), 1974; Sullivan, FOCS 1984): given (i) and (ii), condition (iii)
+holds at t exactly when m > 2t, so t(D) = ⌊(m − 1)/2⌋.  m is found by
+minimum cuts in polynomial time, once per graph.
+
+Every refutation, whichever condition fails, is the definition's own: a
+:class:`Counterexample`, two distinct fault sets of at most t members that
+share a syndrome.  Each failed condition gives a W with f(W) <= 2t (V
+itself, a node with fewer than t testers, or the cut's minimiser), and one
+split (:func:`_split`) turns it into the pair, so
+:func:`revalidate_certificate` checks a refutation with one pass over the
+graph and no theorem to trust.
 
 Alongside lives a definition-level brute-force oracle that scans the unions
 of two fault sets, once per graph, for the least t at which a pair shares a
-syndrome; it and the checker must always agree, and the test suite holds
-them to that.
+syndrome; it names its pair with the same split.  It and the checker must
+always agree, and the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -31,16 +38,10 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import GraphError, SizeCapError
-from .graph import (
-    DiagnosticGraph,
-    NodeId,
-    Syndrome,
-    testable_set,
-    tested_by,
-)
+from .graph import DiagnosticGraph, NodeId, Syndrome, tested_by
 
 DEFAULT_ORACLE_CAP = 14
 
@@ -51,54 +52,54 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class CondIWitness:
-    """Too few nodes: ``n`` is below the ``required`` 2t + 1."""
+class Counterexample:
+    """Two distinct fault sets of ``graph``, each of at most t members, that
+    share a syndrome: the definition of "not t-diagnosable", and the one
+    refutation of the checker and the oracle alike.  ``syndrome`` is the
+    one both sets force, as :func:`common_syndrome` gives it, built on
+    first read: a verdict alone never needs it."""
 
-    n: int
-    required: int
+    fault_set_a: frozenset[NodeId]
+    fault_set_b: frozenset[NodeId]
+    graph: DiagnosticGraph = field(repr=False, compare=False)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "required": self.required}
-
-
-@dataclass(frozen=True)
-class CondIIWitness:
-    """A node tested by fewer than t others."""
-
-    node: NodeId
-    in_degree: int
-
-    def to_json_dict(self) -> dict:
-        return {"node": self.node, "in_degree": self.in_degree}
-
-
-@dataclass(frozen=True)
-class CondIIIWitness:
-    """A subset X whose testable set is too small: |Γ(X)| <= p."""
-
-    p: int
-    members: frozenset[NodeId]
-    testable: frozenset[NodeId]
+    @cached_property
+    def syndrome(self) -> Syndrome:
+        graph = self.graph
+        return _shared_syndrome(
+            graph, graph.mask_of(self.fault_set_a), graph.mask_of(self.fault_set_b)
+        )
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "X": sorted(self.members),
-            "gamma": sorted(self.testable),
-        }
+        return {"A": sorted(self.fault_set_a), "B": sorted(self.fault_set_b)}
 
 
-Witness = CondIWitness | CondIIWitness | CondIIIWitness
+def _split(graph: DiagnosticGraph, inside: int, outside: int) -> Counterexample:
+    """The pair that a nonempty W, the position mask ``inside``, and a set S
+    holding T(W) \\ W and missing W, the mask ``outside``, give: A is S plus
+    the first ⌊|W|/2⌋ members of W, B is S plus the rest.
+
+    A ∩ B = S and A △ B = W, so no node on which the two differ is tested
+    from outside A ∪ B, and they share a syndrome.  |A| <= |B| =
+    |S| + ⌈|W|/2⌉, which is at most t when |W| + 2·|S| <= 2t.
+    """
+    rest = inside
+    for _ in range(inside.bit_count() // 2):
+        rest &= rest - 1  # B's share: all but the first ⌊|W|/2⌋ of W
+    return Counterexample(
+        graph.ids_of(outside | inside & ~rest), graph.ids_of(outside | rest), graph
+    )
 
 
 @dataclass(frozen=True)
 class DiagnosabilityCertificate:
-    """The verdict for one t, with a checkable witness on failure."""
+    """The verdict for one t; on failure, the condition that fails, named as
+    in the paper, and the pair of fault sets that refutes t."""
 
     t: int
     verdict: Verdict
     failed_condition: str | None = None
-    witness: Witness | None = None
+    witness: Counterexample | None = None
 
     @property
     def diagnosable(self) -> bool:
@@ -132,31 +133,24 @@ def is_t_diagnosable(graph: DiagnosticGraph, t: int) -> DiagnosabilityCertificat
     """Decide t-diagnosability and return a certificate.
 
     t = 0 is trivially diagnosable for any nonempty graph: there is nothing
-    to identify.  A refusal names the first condition that fails.  Once (i)
-    and (ii) hold, t is at most the search ceiling, and condition (iii)
-    holds exactly when the graph's least f(W) exceeds 2t; otherwise its
-    minimiser W, found once per graph (:func:`_graph_cut`), gives the
-    (p, X) of the refutation (:func:`_refutation`).
+    to identify.  A refusal names the first condition that fails and the
+    W with f(W) <= 2t that refutes it (:func:`_refutation`): all of V under
+    condition (i), the first node with fewer than t testers under (ii).
+    Once (i) and (ii) hold, t is at most the search ceiling, and condition
+    (iii) holds exactly when the graph's least f(W) exceeds 2t; otherwise
+    its minimiser W, found once per graph (:func:`_graph_cut`), refutes t.
     """
     n = _check_args(graph, t)
     if n < 2 * t + 1:
-        return DiagnosabilityCertificate(
-            t, Verdict.NOT_DIAGNOSABLE, "cond_i", CondIWitness(n=n, required=2 * t + 1)
-        )
+        return _refutation(graph, t, "cond_i", (1 << n) - 1)
     degrees = graph.in_degrees
     if t > min(degrees):
-        for nid, degree in zip(graph.node_ids, degrees):
-            if degree < t:
-                return DiagnosabilityCertificate(
-                    t,
-                    Verdict.NOT_DIAGNOSABLE,
-                    "cond_ii",
-                    CondIIWitness(node=nid, in_degree=degree),
-                )
+        below = next(pos for pos, degree in enumerate(degrees) if degree < t)
+        return _refutation(graph, t, "cond_ii", 1 << below)
     if t:  # at t = 0, m >= 1 > 2t with no cut
         _, m, least = _graph_cut(graph)
         if m <= 2 * t:
-            return _refutation(graph, t, least)
+            return _refutation(graph, t, "cond_iii", least)
     return DiagnosabilityCertificate(t, Verdict.DIAGNOSABLE)
 
 
@@ -271,29 +265,18 @@ def _least_cut(testers: list[list[int]], limit: int) -> tuple[int, list[int]]:
 
 
 def _refutation(
-    graph: DiagnosticGraph, t: int, least: Sequence[int]
+    graph: DiagnosticGraph, t: int, condition: str, inside: int
 ) -> DiagnosabilityCertificate:
-    """The condition-(iii) failure at t given by a W with f(W) <= 2t, for t
-    no higher than the search ceiling.
-
-    With S = T(W) \\ W, no node of X = V \\ (W ∪ S) tests W, so Γ(X) ⊆ S.
-    X has n − |W| − |S| = n − 2t + p members for p = 2t − |W| − |S|, and
-    |Γ(X)| <= |S| <= p follows from f(W) <= 2t.  p < t because each w in W
-    has at least t testers, all in (W − w) ∪ S, so |W| + |S| > t.
-    """
-    rows = tuple(graph.out_masks)
-    inside = tested = 0
-    for x in least:
-        inside |= 1 << x
-    for u, row in enumerate(rows):
+    """The refutation of t under ``condition`` by the nonempty W, the
+    position mask ``inside``, with f(W) = |W| + 2·|S| <= 2t for
+    S = T(W) \\ W: the pair :func:`_split` gives, after one pass over the
+    rows finds S."""
+    tested = 0
+    for u, row in enumerate(graph.out_masks):
         if row & inside:
             tested |= 1 << u
-    outside = tested & ~inside
-    members = ((1 << graph.n) - 1) & ~(inside | outside)
-    p = 2 * t - len(least) - outside.bit_count()
-    testable = tested_by(rows, members) & ~members
-    witness = CondIIIWitness(p, graph.ids_of(members), graph.ids_of(testable))
-    return DiagnosabilityCertificate(t, Verdict.NOT_DIAGNOSABLE, "cond_iii", witness)
+    pair = _split(graph, inside, tested & ~inside)
+    return DiagnosabilityCertificate(t, Verdict.NOT_DIAGNOSABLE, condition, pair)
 
 
 def revalidate_certificate(
@@ -301,44 +284,35 @@ def revalidate_certificate(
 ) -> bool:
     """Re-check a certificate against the graph it was computed from.
 
-    Failure witnesses are validated directly from adjacency queries;
-    passing certificates are re-derived by a fresh minimum cut, never the
-    one the graph keeps.  A certificate whose t is out of range for the
-    graph, or whose witness names a node the graph lacks, does not hold.
+    A refutation is checked against the definition, whatever condition it
+    names: its two fault sets are distinct, each has at most t members, all
+    of them nodes of the graph, and no node on which they differ is tested
+    from outside their union, so they share a syndrome
+    (:func:`common_syndrome`).  A passing certificate is re-derived by a
+    fresh minimum cut, never the one the graph keeps.  A certificate whose
+    t is out of range for the graph, or whose pair names a node the graph
+    lacks, does not hold.
     """
     t = certificate.t
+    try:
+        _check_args(graph, t)
+    except ValueError:
+        return False
     if certificate.diagnosable:
-        try:
-            _check_args(graph, t)
-        except ValueError:
-            return False
         return _least_cut(_testers(graph), 2 * t + 1)[0] > 2 * t
-    witness = certificate.witness
-    if certificate.failed_condition == "cond_i":
-        return (
-            isinstance(witness, CondIWitness)
-            and witness.n == graph.n
-            and graph.n < 2 * t + 1 == witness.required
-        )
-    if certificate.failed_condition == "cond_ii":
-        if not isinstance(witness, CondIIWitness):
-            return False
-        pos = graph.positions.get(witness.node)
-        if pos is None:
-            return False
-        return graph.in_degrees[pos] == witness.in_degree and witness.in_degree < t
-    if certificate.failed_condition == "cond_iii":
-        if not isinstance(witness, CondIIIWitness):
-            return False
-        p = witness.p
-        if not (0 <= p < t and len(witness.members) == graph.n - 2 * t + p):
-            return False
-        try:
-            reached = testable_set(graph, witness.members)
-        except ValueError:  # a member that is no node of the graph
-            return False
-        return reached == witness.testable and len(reached) <= p
-    return False
+    pair = certificate.witness
+    if not isinstance(pair, Counterexample):
+        return False
+    try:
+        mask_a = graph.mask_of(pair.fault_set_a)
+        mask_b = graph.mask_of(pair.fault_set_b)
+    except ValueError:  # an id that is no node of the graph
+        return False
+    return (
+        mask_a != mask_b
+        and max(mask_a.bit_count(), mask_b.bit_count()) <= t
+        and _collide(graph, mask_a, mask_b)
+    )
 
 
 def search_ceiling(graph: DiagnosticGraph) -> int:
@@ -348,9 +322,9 @@ def search_ceiling(graph: DiagnosticGraph) -> int:
     return min(min(graph.in_degrees), (graph.n - 1) // 2)
 
 
-def _graph_cut(graph: DiagnosticGraph) -> tuple[int, int, tuple[int, ...]]:
+def _graph_cut(graph: DiagnosticGraph) -> tuple[int, int, int]:
     """(c, min(m, 2c + 1), W) for the graph's search ceiling c, m its least
-    f(W), and W the positions of a set attaining m if m <= 2c (else ()).
+    f(W), and W the position mask of a set attaining m if m <= 2c (else 0).
 
     One :func:`_least_cut` per graph decides condition (iii) at every level
     up to c: a W with f(W) = m <= 2t refutes each t from t(D) + 1 to c.
@@ -362,7 +336,7 @@ def _graph_cut(graph: DiagnosticGraph) -> tuple[int, int, tuple[int, ...]]:
     if cut is None:
         ceiling = search_ceiling(graph)
         m, least = _least_cut(_testers(graph), 2 * ceiling + 1)
-        cut = vars(graph)["_cut"] = (ceiling, m, tuple(least))
+        cut = vars(graph)["_cut"] = (ceiling, m, sum(1 << x for x in least))
     return cut
 
 
@@ -395,8 +369,8 @@ def max_diagnosability(graph: DiagnosticGraph) -> MaxDiagnosability:
     members, and a pair attains it.  So t(D) = ⌊(m − 1)/2⌋, where m is the
     least f(W) = |W| + 2·|T(W) \\ W| over nonempty W, found by one minimum
     cut per node, once per graph (:func:`_graph_cut`).  Below the search
-    ceiling the refutation at t(D) + 1 is the minimiser, read as a
-    condition-(iii) witness (:func:`_refutation`).
+    ceiling the refutation at t(D) + 1 is the pair split from the
+    minimiser, under condition (iii) (:func:`_refutation`).
     """
     ceiling, m, least = _graph_cut(graph)
     t_max = (m - 1) // 2
@@ -404,34 +378,17 @@ def max_diagnosability(graph: DiagnosticGraph) -> MaxDiagnosability:
         t_max=t_max,
         ceiling=ceiling,
         certificate=DiagnosabilityCertificate(t_max, Verdict.DIAGNOSABLE),
-        refutation=_refutation(graph, t_max + 1, least) if least else None,
+        refutation=(
+            _refutation(graph, t_max + 1, "cond_iii", least) if least else None
+        ),
     )
-
-
-@dataclass(frozen=True)
-class OracleCounterexample:
-    """Two distinct small fault sets of ``graph`` that some syndrome cannot
-    tell apart.  ``syndrome`` is the one both sets force, as
-    :func:`common_syndrome` gives it, built on first read: a verdict alone
-    never needs it."""
-
-    fault_set_a: frozenset[NodeId]
-    fault_set_b: frozenset[NodeId]
-    graph: DiagnosticGraph = field(repr=False, compare=False)
-
-    @cached_property
-    def syndrome(self) -> Syndrome:
-        graph = self.graph
-        return _shared_syndrome(
-            graph, graph.mask_of(self.fault_set_a), graph.mask_of(self.fault_set_b)
-        )
 
 
 @dataclass(frozen=True)
 class OracleResult:
     t: int
     diagnosable: bool
-    counterexample: OracleCounterexample | None
+    counterexample: Counterexample | None
 
     def __bool__(self) -> bool:
         return self.diagnosable
@@ -450,10 +407,16 @@ def common_syndrome(
     """
     mask_a = graph.mask_of(fault_a)
     mask_b = graph.mask_of(fault_b)
-    outside = ((1 << graph.n) - 1) & ~(mask_a | mask_b)
-    if (mask_a ^ mask_b) & tested_by(tuple(graph.out_masks), outside):
+    if not _collide(graph, mask_a, mask_b):
         return None
     return _shared_syndrome(graph, mask_a, mask_b)
+
+
+def _collide(graph: DiagnosticGraph, mask_a: int, mask_b: int) -> bool:
+    """Whether two fault sets, as position masks, share a syndrome: no node
+    on which they differ is tested from outside their union."""
+    outside = ((1 << graph.n) - 1) & ~(mask_a | mask_b)
+    return not (mask_a ^ mask_b) & tested_by(tuple(graph.out_masks), outside)
 
 
 def _shared_syndrome(graph: DiagnosticGraph, mask_a: int, mask_b: int) -> Syndrome:
@@ -527,11 +490,12 @@ def oracle_is_t_diagnosable(
     value L and the first union attaining it (:func:`_least_collision`),
     and the graph is t-diagnosable iff t < L.
 
-    At a refuted level the counterexample is that union split: A is Z plus
-    the first ⌊d/2⌋ other members, B is Z plus the rest, each of at most
-    L <= t members.  Exponential by design, in memory too (the scan reads
-    a table of 2**n entries); it exists to referee the checker, not to
-    replace it.
+    At a refuted level the counterexample is that union split as the
+    checker splits its refutations (:func:`_split`), with W = U - Z and
+    S = Z: A is Z plus the first ⌊d/2⌋ other members, B is Z plus the
+    rest, each of at most L <= t members.  Exponential by design, in
+    memory too (the scan reads a table of 2**n entries); it exists to
+    referee the checker, not to replace it.
     """
     n = _check_args(graph, t)
     if n > cap:
@@ -543,14 +507,6 @@ def oracle_is_t_diagnosable(
     least, union, inside = _least_collision(graph)
     if t < least:
         return OracleResult(t=t, diagnosable=True, counterexample=None)
-    rest = union & ~inside
-    for _ in range(rest.bit_count() // 2):
-        rest &= rest - 1  # B's share: all but the first ⌊d/2⌋ of U - Z
-    mask_a, mask_b = union & ~rest, inside | rest
     return OracleResult(
-        t=t,
-        diagnosable=False,
-        counterexample=OracleCounterexample(
-            graph.ids_of(mask_a), graph.ids_of(mask_b), graph
-        ),
+        t=t, diagnosable=False, counterexample=_split(graph, union & ~inside, inside)
     )

@@ -277,10 +277,7 @@ def temporal_to_dict(graph: TemporalGraph) -> dict:
     return {
         "base": graph_to_dict(graph.base),
         "temporal": {
-            "interval": [
-                fraction_to_json(graph.interval.a),
-                fraction_to_json(graph.interval.b),
-            ],
+            "interval": graph.interval.to_json(),
             "hz": fraction_to_json(graph.frequency_hz),
             "template": {
                 "offsets": sorted(graph.template.offsets),

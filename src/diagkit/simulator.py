@@ -204,10 +204,15 @@ class Scenario:
 
 
 def _refutation(graph: DiagnosticGraph, t: int) -> str | None:
-    """The condition refuting ``t``, with the subset's shape for condition (iii)."""
+    """The condition refuting ``t``; for condition (iii), the shape of the
+    subset X = V \\ (A ∪ B) that its pair of fault sets gives: no node of X
+    tests a node on which A and B differ, so Γ(X) ⊆ A ∩ B, and X has
+    n − 2t + p members for p = 2t − |A ∪ B|."""
     cert = is_t_diagnosable(graph, t)
     if cert.failed_condition == "cond_iii":
-        return f"cond_iii with p={cert.witness.p}, |X|={len(cert.witness.members)}"
+        pair = cert.witness
+        union = len(pair.fault_set_a | pair.fault_set_b)
+        return f"cond_iii with p={2 * t - union}, |X|={graph.n - union}"
     return cert.failed_condition
 
 

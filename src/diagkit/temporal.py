@@ -71,6 +71,10 @@ class Interval:
     def contains(self, other: "Interval") -> bool:
         return self.a <= other.a and other.b <= self.b
 
+    def to_json(self) -> list[float | str]:
+        """``[a, b]``, each bound written by :func:`~diagkit.graph.fraction_to_json`."""
+        return [fraction_to_json(self.a), fraction_to_json(self.b)]
+
     def __str__(self) -> str:
         return f"[{self.a}, {self.b}]"
 
@@ -412,13 +416,7 @@ class ProfileEntry:
     t: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "interval": [
-                fraction_to_json(self.interval.a),
-                fraction_to_json(self.interval.b),
-            ],
-            "t": self.t,
-        }
+        return {"interval": self.interval.to_json(), "t": self.t}
 
 
 @dataclass(frozen=True)
@@ -483,7 +481,7 @@ class WindowAudit:
         is unknown, else ``known_fault_free``), and ``vertex_statuses``
         lists each other vertex, keyed ``"<pane>:<id>"``."""
         doc = {
-            "interval": [fraction_to_json(self.window.a), fraction_to_json(self.window.b)],
+            "interval": self.window.to_json(),
             "t": self.t_used,
             "inconsistent": self.inconsistent,
             "nodes": {

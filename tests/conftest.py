@@ -8,7 +8,6 @@ from typing import Iterator, Sequence
 
 import pytest
 
-from diagkit.diagnosability import CondIIIWitness
 from diagkit.graph import (
     DiagnosticGraph,
     Edge,
@@ -83,11 +82,14 @@ def scan_t_max(graph: DiagnosticGraph) -> int:
     return t
 
 
-def dfs_cond_iii(graph: DiagnosticGraph, t: int) -> CondIIIWitness | None:
-    """First failing (p, X) of condition (iii), by p ascending and X
-    lexicographically: ``is_t_diagnosable``'s search as it was before it
-    read condition (iii) off the least cut.  The referee for the cut's
-    verdicts, fast enough for n = 24, where ``scan_cond_iii`` is not.
+def dfs_cond_iii(
+    graph: DiagnosticGraph, t: int
+) -> tuple[int, frozenset[NodeId]] | None:
+    """First failing (p, X) of condition (iii), X as node ids, by p
+    ascending and X lexicographically: ``is_t_diagnosable``'s search as it
+    was before it read condition (iii) off the least cut.  The referee for
+    the cut's verdicts, fast enough for n = 24, where ``scan_cond_iii`` is
+    not.
 
     X grows one position at a time, depth first in lexicographic order.
     Growing a prefix P takes out of its testable set Γ(P) only the members
@@ -108,11 +110,7 @@ def dfs_cond_iii(graph: DiagnosticGraph, t: int) -> CondIIIWitness | None:
         while stack:
             members, reached, last, left = stack.pop()
             if not left:
-                return CondIIIWitness(
-                    p=p,
-                    members=graph.ids_of(members),
-                    testable=graph.ids_of(reached & ~members),
-                )
+                return p, graph.ids_of(members)
             left -= 1
             for pos in range(n - 1 - left, last, -1):
                 grown = members | 1 << pos

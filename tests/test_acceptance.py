@@ -15,6 +15,7 @@ import pytest
 from conftest import cycle_syndrome, iter_subsets, random_digraph
 from diagkit.cli import main as cli_main
 from diagkit.diagnosability import (
+    common_syndrome,
     is_t_diagnosable,
     max_diagnosability,
     oracle_is_t_diagnosable,
@@ -93,8 +94,15 @@ def test_c04_localization_reverification():
     assert result.t_max == 1
     refutation = is_t_diagnosable(graph, 2)
     assert refutation.failed_condition == "cond_iii"
-    assert refutation.witness.p == 1
-    assert len(refutation.witness.members) == 8
+    # The refutation is a pair of fault sets; X = V \ (A ∪ B), with
+    # p = 2t − |A ∪ B|, is the condition-(iii) subset, and Γ(X) = A ∩ B.
+    a, b = refutation.witness.fault_set_a, refutation.witness.fault_set_b
+    assert 2 * 2 - len(a | b) == 1
+    assert graph.n - len(a | b) == 8
+    members = frozenset(graph.node_ids) - (a | b)
+    assert members == {1, 2, 3, 4, 5, 8, 9, 10}
+    assert a & b == testable_set(graph, members) == {11}
+    assert common_syndrome(graph, a, b) is not None
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(4, f"localization fixture re-verified, t_max = 1 ({elapsed:.3f}s)")

@@ -12,9 +12,10 @@ from diagkit import cli
 from diagkit import temporal as tg
 from diagkit.cli import main
 from diagkit.diagnosability import (
-    CondIIIWitness,
+    Counterexample,
     DiagnosabilityCertificate,
     Verdict,
+    common_syndrome,
     revalidate_certificate,
 )
 from diagkit.identification import StatusReport
@@ -60,14 +61,18 @@ class TestAnalyze:
         code, doc, _ = run_json(capsys, "analyze", "localization", "--t", "2")
         assert code == 1
         assert doc["failed"] == "cond_iii"
-        assert doc["witness"]["p"] == 1
-        assert len(doc["witness"]["X"]) == 8
-        # The same witness as the refutation analyze prints without --t.
+        # X = V \ (A ∪ B) has p = 2t − |A ∪ B| = 1 and 8 members.
+        union = set(doc["witness"]["A"]) | set(doc["witness"]["B"])
+        assert 2 * 2 - len(union) == 1
+        assert 11 - len(union) == 8
+        # The same refutation as analyze prints without --t.
         assert doc == run_json(capsys, "analyze", "localization")[1]["refutation"]
 
     def test_localization_prints_its_refutation(self, capsys):
         """t_max 1 is below the ceiling 2, so the JSON carries the
-        condition-(iii) witness at t = 2 (a failing certificate is falsy)."""
+        condition-(iii) refutation at t = 2 (a failing certificate is
+        falsy): two fault sets that share a syndrome.  X = V \\ (A ∪ B) is
+        {1,2,3,4,5,8,9,10}, and Γ(X) = {11} = A ∩ B."""
         code, doc, _ = run_json(capsys, "analyze", "localization")
         assert code == 0
         assert (doc["t_max"], doc["ceiling"]) == (1, 2)
@@ -75,8 +80,11 @@ class TestAnalyze:
             "failed": "cond_iii",
             "t": 2,
             "verdict": "not_diagnosable",
-            "witness": {"p": 1, "X": [1, 2, 3, 4, 5, 8, 9, 10], "gamma": [11]},
+            "witness": {"A": [6, 11], "B": [7, 11]},
         }
+        a, b = (set(doc["refutation"]["witness"][key]) for key in ("A", "B"))
+        assert set(range(1, 12)) - (a | b) == {1, 2, 3, 4, 5, 8, 9, 10}
+        assert a & b == {11}
 
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -117,16 +125,25 @@ class TestAnalyze:
 
     def test_forward_expansion_is_refuted_at_two(self, capsys, tmp_path):
         """Offsets {1}, forward only: t(D) = 1, and the condition-(iii)
-        witness at t = 2 holds against the flat graph."""
+        refutation at t = 2, with or without --t, holds against the flat
+        graph from its JSON alone: two fault sets of at most 2 vertices that
+        share a syndrome, printed in under 1 KB."""
         recording = localization_recording(capsys, tmp_path, "--offsets", "1")
-        code, doc, _ = run_json(capsys, "analyze", recording, "--t", "2")
+        code, out, _ = run(capsys, "analyze", recording, "--t", "2", "--json")
+        doc = json.loads(out)
         assert (code, doc["failed"]) == (1, "cond_iii")
-        p, members, testable = (doc["witness"][key] for key in ("p", "X", "gamma"))
-        witness = CondIIIWitness(p, frozenset(members), frozenset(testable))
+        assert len(out) < 1024
+        a, b = (frozenset(doc["witness"][key]) for key in ("A", "B"))
+        assert (a, b) == ({5, 10}, {6, 10})
+        flat = load_graph_file(recording).flat_graph
+        assert common_syndrome(flat, a, b) is not None
         certificate = DiagnosabilityCertificate(
-            2, Verdict.NOT_DIAGNOSABLE, "cond_iii", witness
+            2, Verdict.NOT_DIAGNOSABLE, "cond_iii", Counterexample(a, b, flat)
         )
-        assert revalidate_certificate(load_graph_file(recording).flat_graph, certificate)
+        assert revalidate_certificate(flat, certificate)
+        code, out, _ = run(capsys, "analyze", recording, "--json")
+        assert (code, json.loads(out)["refutation"]) == (0, doc)
+        assert len(out) < 1024
 
     def test_env_var_overrides_cap(self, capsys, monkeypatch):
         """DIAGKIT_EXACT_CAP no longer overrides anything: with it set,

@@ -19,8 +19,7 @@ from conftest import (
 )
 from diagkit import diagnosability
 from diagkit.diagnosability import (
-    CondIIIWitness,
-    CondIIWitness,
+    Counterexample,
     DiagnosabilityCertificate,
     Verdict,
     _least_cut,
@@ -42,7 +41,7 @@ from diagkit.graph import (
 )
 from diagkit.simulator import scenario
 from diagkit.temporal import Interval, TemporalTemplate, expand
-from test_referees import check_counterexample
+from test_referees import check_counterexample, literal_share_a_syndrome
 
 
 class TestIsTDiagnosable:
@@ -50,27 +49,40 @@ class TestIsTDiagnosable:
         assert is_t_diagnosable(five_cycle, 1).diagnosable
 
     def test_five_cycle_at_two_fails_in_degree(self, five_cycle):
+        """The pair differs at one node, tested only by the one other node
+        both sets hold: node 1, whose in-degree 1 is below 2."""
         cert = is_t_diagnosable(five_cycle, 2)
         assert not cert.diagnosable
         assert cert.failed_condition == "cond_ii"
-        assert cert.witness.in_degree == 1
-        assert cert.witness.in_degree < 2
+        pair = cert.witness
+        (node,) = pair.fault_set_a ^ pair.fault_set_b
+        in_degree = five_cycle.in_degrees[five_cycle.positions[node]]
+        assert (node, in_degree) == (1, 1)
+        assert in_degree < 2
+        assert pair.fault_set_a & pair.fault_set_b == {5}  # node 1's tester
+        check_counterexample(five_cycle, 2, cert)
 
     def test_localization_at_two_fails_subset_condition(self, localization):
         cert = is_t_diagnosable(localization, 2)
         assert not cert.diagnosable
         assert cert.failed_condition == "cond_iii"
-        witness = cert.witness
-        assert witness.p == 1
-        assert len(witness.members) == 8
-        assert len(witness.testable) <= witness.p
-        # the returned witness is read off the least cut's minimiser: the
-        # documented subset {1,2,3,4,5,8,9,10}, the refutation that
-        # max_diagnosability prints as well
-        pinned = frozenset({1, 2, 3, 4, 5, 8, 9, 10})
-        assert witness.members == pinned
-        assert witness.testable == testable_set(localization, pinned) == {11}
+        pair = cert.witness
+        assert (pair.fault_set_a, pair.fault_set_b) == ({6, 11}, {7, 11})
+        # The pair is split from the least cut's minimiser W = {6, 7}, with
+        # S = T(W) \ W = {11}.  X = V \ (A ∪ B) is the documented subset
+        # {1,2,3,4,5,8,9,10} at p = 2t − |A ∪ B| = 1: none of it tests W,
+        # so Γ(X) ⊆ A ∩ B.  max_diagnosability prints the same refutation.
+        union = pair.fault_set_a | pair.fault_set_b
+        members = frozenset(localization.node_ids) - union
+        p = 2 * 2 - len(union)
+        assert p == 1
+        assert len(members) == 8
+        assert members == {1, 2, 3, 4, 5, 8, 9, 10}
+        testable = testable_set(localization, members)
+        assert testable == pair.fault_set_a & pair.fault_set_b == {11}
+        assert len(testable) <= p
         assert cert == max_diagnosability(localization).refutation
+        check_counterexample(localization, 2, cert)
 
     def test_t_zero_is_trivially_diagnosable(self, five_cycle):
         assert is_t_diagnosable(five_cycle, 0).diagnosable
@@ -79,7 +91,12 @@ class TestIsTDiagnosable:
         g = DiagnosticGraph.build([Node(1), Node(2)], [Edge(1, 2), Edge(2, 1)])
         cert = is_t_diagnosable(g, 1)
         assert cert.failed_condition == "cond_i"
-        assert cert.witness.required == 3
+        # n = 2 is below 2t + 1 = 3: W = V splits into two single faults
+        # that only test each other.
+        pair = cert.witness
+        assert g.n < 2 * 1 + 1 == 3
+        assert (pair.fault_set_a, pair.fault_set_b) == ({1}, {2})
+        check_counterexample(g, 1, cert)
 
     def test_rejects_t_at_or_above_n(self, five_cycle):
         with pytest.raises(ValueError, match="t < n"):
@@ -135,32 +152,45 @@ class TestMaxDiagnosability:
         assert revalidate_certificate(localization, result.refutation)
 
     def test_tampered_certificate_fails_revalidation(self, localization):
-        result = max_diagnosability(localization)
-        bad_witness = CondIIIWitness(
-            p=result.refutation.witness.p,
-            members=result.refutation.witness.members,
-            testable=frozenset({1}),
-        )
-        tampered = replace(result.refutation, witness=bad_witness)
-        assert not revalidate_certificate(localization, tampered)
+        """The refutation at 2 is {6, 11} against {7, 11}.  A side over t,
+        A = B, B without the shared 11 (which X = V \\ (A ∪ B) tests, so
+        the sets no longer collide) or an id the graph lacks fails.  Node 1
+        added to both sides keeps the sets colliding, with three members."""
+        refutation = max_diagnosability(localization).refutation
+        pair = refutation.witness
+        a, b = pair.fault_set_a, pair.fault_set_b
+        assert (a, b) == ({6, 11}, {7, 11})
+        assert common_syndrome(localization, a, b - {11}) is None
+        assert common_syndrome(localization, a | {1}, b | {1}) is not None
+        for sides in [
+            (a | {1}, b | {1}),
+            (a, b | {1}),
+            (a, a),
+            (a, b - {11}),
+            (a - {6} | {99}, b),
+        ]:
+            tampered = tamper(refutation, *sides)
+            assert revalidate_certificate(localization, tampered) is False
 
     def test_certificates_that_do_not_fit_the_graph_do_not_hold(self, five_cycle):
-        # A t out of range, or a witness naming a node the graph lacks.
+        # A t out of range, a pair naming a node the graph lacks or an id
+        # that is no integer, or no pair at all.  {1, 3} and {1, 2} do share
+        # a syndrome at t = 2.
+        def refutation(t, a, b, condition="cond_ii"):
+            pair = Counterexample(frozenset(a), frozenset(b), five_cycle)
+            return DiagnosabilityCertificate(
+                t, Verdict.NOT_DIAGNOSABLE, condition, pair
+            )
+
+        assert revalidate_certificate(five_cycle, refutation(2, {1, 3}, {1, 2}))
         certificates = [
             DiagnosabilityCertificate(5, Verdict.DIAGNOSABLE),
             DiagnosabilityCertificate(-1, Verdict.DIAGNOSABLE),
-            DiagnosabilityCertificate(
-                1,
-                Verdict.NOT_DIAGNOSABLE,
-                "cond_ii",
-                CondIIWitness(node=99, in_degree=0),
-            ),
-            DiagnosabilityCertificate(
-                1,
-                Verdict.NOT_DIAGNOSABLE,
-                "cond_iii",
-                CondIIIWitness(0, frozenset({1, 2, 99}), frozenset()),
-            ),
+            refutation(1, {99}, set()),
+            refutation(2, {1, 99}, {1, 2}, "cond_iii"),
+            refutation(2, {1, "3"}, {1, 2}),
+            refutation(5, {1, 3}, {1, 2}),
+            DiagnosabilityCertificate(2, Verdict.NOT_DIAGNOSABLE, "cond_ii"),
         ]
         for certificate in certificates:
             assert revalidate_certificate(five_cycle, certificate) is False
@@ -513,6 +543,43 @@ class TestSeededCut:
         assert max_diagnosability(graph).t_max == c
 
 
+def tamper(refutation, a, b):
+    """The refutation with its pair replaced by (a, b)."""
+    pair = replace(refutation.witness, fault_set_a=a, fault_set_b=b)
+    return replace(refutation, witness=pair)
+
+
+def check_tampered_pairs(graph, refutation):
+    """A checker's pair, mutated, fails revalidation: B, or both sides,
+    grown over t by nodes outside A ∪ B (both sides grown still collide),
+    A = B, an id the graph lacks in place of one of B's own, or S = A ∩ B
+    dropped from both sides (each node of S tests W = A △ B, which is then
+    tested from outside).  Dropping one member of S from B alone
+    revalidates exactly when the sets still literally share a syndrome."""
+    t, pair = refutation.t, refutation.witness
+    a, b = pair.fault_set_a, pair.fault_set_b
+    # |A ∪ B| <= 2t < n, and |A \ B| <= t leaves t + 1 − |B| nodes outside.
+    grown = set(sorted(set(graph.node_ids) - a - b)[: t + 1 - len(b)])
+    assert len(b | grown) == t + 1
+    assert literal_share_a_syndrome(graph, a | grown, b | grown)
+    absent = max(graph.node_ids) + 1
+    tampered = [
+        tamper(refutation, a | grown, b | grown),
+        tamper(refutation, a, b | grown),
+        tamper(refutation, a, a),
+        tamper(refutation, b, b),
+        tamper(refutation, a, b - {max(b - a)} | {absent}),
+    ]
+    if a & b:
+        tampered.append(tamper(refutation, a - b, b - a))
+    for certificate in tampered:
+        assert revalidate_certificate(graph, certificate) is False
+    for shared in a & b:
+        dropped = b - {shared}
+        expected = literal_share_a_syndrome(graph, a, dropped)
+        assert revalidate_certificate(graph, tamper(refutation, a, dropped)) == expected
+
+
 class TestCutAgainstScan:
     """The cut's t_max, certificate and refutation against the literal
     condition-(iii) scan, level by level from the search ceiling down."""
@@ -531,15 +598,8 @@ class TestCutAgainstScan:
             refutation = result.refutation
             assert refutation.t == result.t_max + 1
             assert refutation.failed_condition == "cond_iii"
-            assert revalidate_certificate(graph, refutation)
-            # A witness with one member swapped for a non-member fails.
-            witness = refutation.witness
-            outside = sorted(set(graph.node_ids) - witness.members)
-            if outside:
-                members = witness.members - {min(witness.members)} | {outside[0]}
-                swapped = replace(witness, members=members)
-                tampered = replace(refutation, witness=swapped)
-                assert not revalidate_certificate(graph, tampered)
+            check_counterexample(graph, refutation.t, refutation)
+            check_tampered_pairs(graph, refutation)
             above = DiagnosabilityCertificate(result.t_max + 1, Verdict.DIAGNOSABLE)
             assert not revalidate_certificate(graph, above)
         return result
@@ -598,10 +658,14 @@ class TestCutAgainstScan:
         weakened = DiagnosticGraph(flat.nodes, edges)
         result = max_diagnosability(weakened)
         assert (result.t_max, result.ceiling) == (3, 4)
-        witness = result.refutation.witness
-        assert (witness.p, len(witness.members)) == (3, 1111 - 5)
-        assert witness.members.isdisjoint(pair | {100, 200, 300})
-        assert revalidate_certificate(weakened, result.refutation)
+        # The pair splits W from its testers S = {100, 200, 300}: X, the
+        # rest, has p = 2t − |A ∪ B| = 3 and 1111 − 5 members.
+        found = result.refutation.witness
+        a, b = found.fault_set_a, found.fault_set_b
+        assert (a & b, a ^ b) == ({100, 200, 300}, pair)
+        union = a | b
+        assert (2 * 4 - len(union), weakened.n - len(union)) == (3, 1111 - 5)
+        check_counterexample(weakened, 4, result.refutation)
 
 
 class TestWitnessSearch:
@@ -627,8 +691,7 @@ class TestWitnessSearch:
                     continue
                 found += 1
                 p, members = expected
-                assert witness.p == p
-                assert witness.members == graph.ids_of(members)
+                assert witness == (p, graph.ids_of(members))
         assert found > 100
 
 
@@ -647,7 +710,8 @@ def referee_condition(graph, t):
 class TestCutAgainstSearch:
     """The checker reads condition (iii) off the graph's one least cut; the
     depth-first search referees its failed condition at every level, the
-    oracle its verdict, and each refutation must revalidate."""
+    oracle its verdict, and each refutation, under any condition, must be a
+    pair that shares a syndrome and revalidates."""
 
     def test_random_graphs_up_to_twelve_nodes(self):
         rng = random.Random(61)
@@ -664,9 +728,11 @@ class TestCutAgainstSearch:
                 if n <= 10:
                     oracle = oracle_is_t_diagnosable(graph, t)
                     assert cert.diagnosable == oracle.diagnosable
-                if cert.failed_condition == "cond_iii":
-                    refuted += 1
-                    assert revalidate_certificate(graph, cert)
+                    if not oracle.diagnosable:
+                        check_counterexample(graph, t, oracle.counterexample)
+                if not cert.diagnosable:
+                    check_counterexample(graph, t, cert)
+                refuted += cert.failed_condition == "cond_iii"
         assert refuted > 100
 
 
@@ -729,7 +795,7 @@ class TestOneCutPerGraph:
         graph = self.graphs()[0]
         assert not is_t_diagnosable(graph, 2)
         ceiling, _, _ = vars(graph)["_cut"]
-        vars(graph)["_cut"] = (ceiling, 2 * ceiling + 1, ())
+        vars(graph)["_cut"] = (ceiling, 2 * ceiling + 1, 0)
         claimed = is_t_diagnosable(graph, 2)
         assert claimed.diagnosable
         assert not revalidate_certificate(graph, claimed)
@@ -763,14 +829,18 @@ class TestAgreementWithOracle:
                     )
 
     def test_random_sample(self):
+        """Every level to the ceiling and one above; each refutation of
+        either is a checked pair."""
         rng = random.Random(23)
         for _ in range(100):
             g = random_digraph(rng, rng.randint(4, 7), rng.random())
-            for t in range(search_ceiling(g) + 1):
-                assert (
-                    is_t_diagnosable(g, t).diagnosable
-                    == oracle_is_t_diagnosable(g, t).diagnosable
-                )
+            for t in range(min(search_ceiling(g) + 2, g.n)):
+                cert = is_t_diagnosable(g, t)
+                oracle = oracle_is_t_diagnosable(g, t)
+                assert cert.diagnosable == oracle.diagnosable
+                if not cert.diagnosable:
+                    check_counterexample(g, t, cert)
+                    check_counterexample(g, t, oracle.counterexample)
 
 
 class TestGrowthAndCoverProperties:
@@ -831,5 +901,6 @@ def test_certificate_json_shape(localization):
     doc = cert.to_json_dict()
     assert doc["verdict"] == "not_diagnosable"
     assert doc["failed"] == "cond_iii"
-    assert set(doc["witness"]) == {"p", "X", "gamma"}
-    assert doc["witness"]["p"] == 1
+    assert set(doc["witness"]) == {"A", "B"}
+    # p = 2t − |A ∪ B| = 1, from at most 2t ids
+    assert 2 * 2 - len(set(doc["witness"]["A"]) | set(doc["witness"]["B"])) == 1

@@ -7,7 +7,7 @@ oracle decides its verdict from unions of fault sets; on graphs past the
 literal loops' reach its verdict is held to its earlier pair loop
 (``conftest.pair_loop_oracle``).  The pair it names is split from a union,
 not the pair loop's first, so it is held to what a counterexample must be
-(:func:`check_counterexample`).
+(:func:`check_counterexample`), as every refutation of the checker is.
 """
 
 import random
@@ -22,8 +22,10 @@ from conftest import (
     scan_fault_sets,
 )
 from diagkit.diagnosability import (
+    DiagnosabilityCertificate,
     common_syndrome,
     oracle_is_t_diagnosable,
+    revalidate_certificate,
     search_ceiling,
 )
 from diagkit.errors import SizeCapError, SyndromeError
@@ -67,12 +69,29 @@ def forced_outcomes(graph, a, b):
     return Syndrome(outcomes)
 
 
-def check_counterexample(graph, t, pair):
-    """The oracle's named pair: two distinct sets of at most t members, the
-    smaller first, that the returned syndrome fits, both by the mask
-    predicate and literally; it is the syndrome both sets force."""
+def check_counterexample(graph, t, refutation):
+    """A refutation of t, the oracle's pair or a checker's certificate: two
+    distinct sets of at most t members, the smaller first, that the pair's
+    syndrome fits, both by the mask predicate and literally; it is the
+    syndrome both sets force.  Both refuters split the pair alike: with
+    W = A △ B, A ∩ B holds every tester of W outside W (exactly those, in
+    the checker's pair) and A holds the first ⌊|W|/2⌋ members of W.  A
+    certificate names a condition of the paper and revalidates."""
+    pair = refutation
+    if isinstance(refutation, DiagnosabilityCertificate):
+        assert refutation.t == t and not refutation.diagnosable
+        assert refutation.failed_condition in ("cond_i", "cond_ii", "cond_iii")
+        assert revalidate_certificate(graph, refutation)
+        pair = refutation.witness
     a, b = pair.fault_set_a, pair.fault_set_b
     assert a != b and len(a) <= len(b) <= t
+    differ = a ^ b
+    testers = {edge.tester for edge in graph.edges if edge.testee in differ} - differ
+    if pair is refutation:
+        assert testers <= a & b
+    else:
+        assert testers == a & b
+    assert sorted(a - b) == sorted(differ)[: len(differ) // 2]
     for members in (a, b):
         assert pmc_compatible(graph, pair.syndrome, members)
         assert literal_compatible(graph, pair.syndrome, members)
