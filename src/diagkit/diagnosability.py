@@ -35,13 +35,14 @@ always agree, and the test suite holds them to that.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
 from .errors import GraphError, SizeCapError
-from .graph import DiagnosticGraph, NodeId, Syndrome, tested_by
+from .graph import DiagnosticGraph, NodeId, Syndrome
 
 DEFAULT_ORACLE_CAP = 14
 
@@ -184,8 +185,10 @@ def _least_cut(testers: list[list[int]], limit: int) -> tuple[int, list[int]]:
     v -> a_u -> u -> sink per tester u of v, 2 units if u < v, else 1.
     Their 1 + |T(v)| + |T(v) below v| units bound the cut from below, since
     any W whose lowest position is v holds v and pays at least 1 per tester
-    of v and 2 per tester below v; a cut whose seed reaches the best value
-    so far is skipped.  Then each tester u above v takes a second unit,
+    of v and 2 per tester below v.  Tester lists ascend, so |T(v) below v|
+    is where v would sit in T(v), and a cut whose seed reaches the best
+    value so far is skipped before any of its flow is built.  Then each
+    tester u above v takes a second unit,
     v -> a_u -> u -> a_w -> w -> sink, through the first tester w of u with
     room on a_w -> w and on w -> sink (any w below v; above v, a w not yet
     in the flow).  The flow stays feasible: a_u -> u and a_w -> w carry at
@@ -199,16 +202,20 @@ def _least_cut(testers: list[list[int]], limit: int) -> tuple[int, list[int]]:
     """
     best, least = limit, []
     for v in range(len(testers)):
-        through = {u: 2 if u < v else 1 for u in testers[v]}  # units on a_u -> u
-        flow = 1 + sum(through.values())
+        mine = testers[v]
+        below = bisect_left(mine, v)  # the testers of v below v
+        flow = 1 + len(mine) + below
         if flow >= best:
             continue
+        above = mine[below:]
+        through = dict.fromkeys(mine[:below], 2)  # units on a_u -> u
+        through.update(dict.fromkeys(above, 1))
         # u -> {x: units on x -> a_u}, and the x whose unit to the sink is taken.
         into = {u: {v: units} for u, units in through.items()}
-        full = {v, *(u for u in testers[v] if u > v)}
-        for u in testers[v]:
-            if u < v or flow >= best:
-                continue
+        full = {v, *above}
+        for u in above:
+            if flow >= best:
+                break
             for w in testers[u]:
                 if through.get(w, 0) < 2 and (w < v or w not in full):
                     into[u][v] += 1  # v -> a_u
@@ -269,13 +276,11 @@ def _refutation(
 ) -> DiagnosabilityCertificate:
     """The refutation of t under ``condition`` by the nonempty W, the
     position mask ``inside``, with f(W) = |W| + 2·|S| <= 2t for
-    S = T(W) \\ W: the pair :func:`_split` gives, after one pass over the
-    rows finds S."""
-    tested = 0
-    for u, row in enumerate(graph.out_masks):
-        if row & inside:
-            tested |= 1 << u
-    pair = _split(graph, inside, tested & ~inside)
+    S = T(W) \\ W: the pair :func:`_split` gives.  Under condition (i)
+    W = V and S is empty; otherwise :meth:`DiagnosticGraph.testers_of`
+    finds S, on a flat graph without writing a row."""
+    outside = 0 if condition == "cond_i" else graph.testers_of(inside) & ~inside
+    pair = _split(graph, inside, outside)
     return DiagnosabilityCertificate(t, Verdict.NOT_DIAGNOSABLE, condition, pair)
 
 
@@ -415,8 +420,7 @@ def common_syndrome(
 def _collide(graph: DiagnosticGraph, mask_a: int, mask_b: int) -> bool:
     """Whether two fault sets, as position masks, share a syndrome: no node
     on which they differ is tested from outside their union."""
-    outside = ((1 << graph.n) - 1) & ~(mask_a | mask_b)
-    return not (mask_a ^ mask_b) & tested_by(tuple(graph.out_masks), outside)
+    return not graph.testers_of(mask_a ^ mask_b) & ~(mask_a | mask_b)
 
 
 def _shared_syndrome(graph: DiagnosticGraph, mask_a: int, mask_b: int) -> Syndrome:

@@ -177,8 +177,10 @@ class DiagnosticGraph(_Frozen):
     analyses built on top of this type.  Every graph holds its ``node_ids``,
     ascending, and per position the bitmask of the positions it tests
     (``out_masks``) and the number of nodes that test it (``in_degrees``).
-    A graph built from nodes and edges also keeps its nodes and edges,
-    sorted by id and by (tester, testee).  A graph built from masks
+    A graph built from nodes and edges keeps its nodes, sorted by id, and
+    its edges as given: they are checked when the graph is built, but
+    ``edges`` is sorted by (tester, testee) only on first read, since the
+    analyses read the masks alone.  A graph built from masks
     (:meth:`_from_masks`) is valid by construction and made from a recipe;
     its ``out_masks`` may be any sequence, and its ``nodes`` and ``edges``
     are views built on first read, with the same values and order.
@@ -188,6 +190,8 @@ class DiagnosticGraph(_Frozen):
     out_masks: Sequence[int]
     in_degrees: tuple[int, ...]
 
+    # Set on built graphs only: the edges as given, unsorted.
+    _given: tuple[Edge, ...] = ()
     # Set on mask-built graphs only: the node at a position, the kind of the
     # edge between a tester and a testee position, and the recipe.
     _node: Callable[[int], Node] | None = None
@@ -196,11 +200,12 @@ class DiagnosticGraph(_Frozen):
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]) -> None:
         nodes = tuple(sorted(nodes, key=_BY_ID))
-        edges = tuple(sorted(edges, key=_BY_PAIR))
         # Tuples of a graph's size are made from lists, whose length is
         # known: CPython resizes a tuple made from an iterator, and keeps
         # each such tuple of 11 to 19 items on a free list once it dies, so
-        # building many small graphs would grow memory by up to 2 MB.
+        # building many small graphs would grow memory by up to 2 MB.  A
+        # tuple of edges is kept as it is.
+        edges = tuple(edges if isinstance(edges, (list, tuple)) else list(edges))
         ids = tuple([node.id for node in nodes])
         pos = {nid: p for p, nid in enumerate(ids)}
         masks = [0] * len(ids)
@@ -214,10 +219,11 @@ class DiagnosticGraph(_Frozen):
             masks[u] |= 1 << v
             degrees[v] += 1
         if not valid:
+            edges = sorted(edges, key=_BY_PAIR)
             raise GraphError("; ".join(_violations(nodes, edges)))
         vars(self).update(
             nodes=nodes,
-            edges=edges,
+            _given=edges,
             node_ids=ids,
             out_masks=tuple(masks),
             in_degrees=tuple(degrees),
@@ -281,7 +287,7 @@ class DiagnosticGraph(_Frozen):
             return (getattr, (self._recipe, "flat_graph"))
         return (type(self), (self.nodes, self.edges))
 
-    # -- views of a mask-built graph ----------------------------------------
+    # -- views built on first read -----------------------------------------
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
@@ -289,6 +295,8 @@ class DiagnosticGraph(_Frozen):
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
+        if self._kind is None:  # a built graph: its given edges, sorted
+            return tuple(sorted(self._given, key=_BY_PAIR))
         ids, kind = self.node_ids, self._kind
         return tuple(
             Edge(ids[u], ids[v], kind(u, v)) for u, v in self.position_pairs()
@@ -330,6 +338,22 @@ class DiagnosticGraph(_Frozen):
     def position_pairs(self) -> Iterator[tuple[int, int]]:
         """(tester, testee) positions of every edge, in edge order."""
         return mask_pairs(self.out_masks)
+
+    def testers_of(self, members: int) -> int:
+        """Bitmask of the positions that test some position in the bitmask
+        ``members``.  Rows that know their testers (a flat graph's
+        :class:`~diagkit.temporal.FlatRows`) give it without writing a row;
+        otherwise it is one pass over the rows."""
+        rows = self.out_masks
+        find = getattr(rows, "testers_of", None)
+        if find is not None:
+            return find(members)
+        testers, bit = 0, 1
+        for row in rows:
+            if row & members:
+                testers |= bit
+            bit <<= 1
+        return testers
 
     def mask_of(self, members: Iterable[NodeId]) -> int:
         """Bitmask of the ids in ``members``, read by :func:`as_integer`."""

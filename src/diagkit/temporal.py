@@ -45,6 +45,7 @@ from .graph import (
     as_integer,
     failed_masks,
     fraction_to_json,
+    mask_pairs,
 )
 from .identification import (
     NodeStatus,
@@ -122,10 +123,11 @@ class FlatRows(Sequence):
     tester's row share one computation.  Iterating, slicing and comparing
     take the full pass, which writes every row once and keeps the tuple;
     indexing then reads that tuple.  The sequence compares equal to the
-    tuple of its rows.
+    tuple of its rows.  :meth:`testers_of` reads the recipe the other way
+    round and writes no row.
     """
 
-    __slots__ = ("_base", "_count", "_template", "_rows", "_read")
+    __slots__ = ("_base", "_count", "_template", "_rows", "_read", "_into")
 
     def __init__(
         self, base_rows: Sequence[int], count: int, template: TemporalTemplate
@@ -135,6 +137,7 @@ class FlatRows(Sequence):
         self._template = template
         self._rows: tuple[int, ...] | None = None
         self._read: dict[int, int] = {}  # rows read one at a time, by index
+        self._into: list[int] | None = None  # per base position, its testers
 
     def __len__(self) -> int:
         return self._count * len(self._base)
@@ -150,6 +153,35 @@ class FlatRows(Sequence):
             if template.bidirectional and index >= offset:
                 column |= 1 << (start - offset * width)
         return column
+
+    def testers_of(self, members: int) -> int:
+        """Bitmask of the positions that test some position in the bitmask
+        ``members``, from the recipe.  Vertex p of pane k is tested by the
+        base testers of p in pane k, and by p (every position, across
+        modules) in each pane an offset behind k, and ahead when
+        bidirectional."""
+        into = self._into
+        if into is None:
+            into = [0] * len(self._base)
+            for u, p in mask_pairs(self._base):
+                into[p] |= 1 << u
+            self._into = into
+        width, count, template = len(into), self._count, self._template
+        pane = (1 << width) - 1
+        testers = 0
+        while members:
+            low = members & -members
+            members ^= low
+            index, p = divmod(low.bit_length() - 1, width)
+            start = index * width
+            testers |= into[p] << start
+            copy = 1 << p if template.base_identity_only else pane
+            for offset in template.offsets:
+                if index >= offset:
+                    testers |= copy << (start - offset * width)
+                if template.bidirectional and index + offset < count:
+                    testers |= copy << (start + offset * width)
+        return testers
 
     def _all_rows(self) -> tuple[int, ...]:
         """The full pass: every row, written once and kept."""

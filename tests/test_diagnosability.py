@@ -424,6 +424,41 @@ def localization_expansion():
     ).flat_graph
 
 
+class TestRefutationReadsNoRow:
+    """A refutation finds S = T(W) \\ W with ``testers_of``: on a flat
+    graph from the recipe, and under condition (i), where W = V, not at
+    all."""
+
+    def test_condition_ii_on_the_eleven_thousand_vertex_recording(self):
+        flat = expand(
+            scenario("localization").graph,
+            100,
+            Interval(0, 10),
+            TemporalTemplate(offsets=frozenset({1, 2}), bidirectional=True),
+        ).flat_graph
+        assert flat.n == 11011
+        refutation = is_t_diagnosable(flat, 5)
+        assert refutation.failed_condition == "cond_ii"
+        assert refutation.witness.to_json_dict() == {
+            "A": [1, 5, 11, 22],
+            "B": [0, 1, 5, 11, 22],
+        }
+        assert revalidate_certificate(flat, refutation)
+        assert flat.out_masks._rows is None and not flat.out_masks._read
+
+    def test_condition_i_reads_no_tester(self, five_cycle, monkeypatch):
+        def no_pass(graph, members):
+            raise AssertionError("condition (i) read the testers")
+
+        monkeypatch.setattr(DiagnosticGraph, "testers_of", no_pass)
+        refutation = is_t_diagnosable(five_cycle, 3)
+        assert refutation.failed_condition == "cond_i"
+        assert refutation.witness.to_json_dict() == {
+            "A": [1, 2],
+            "B": [3, 4, 5],
+        }
+
+
 class Reads(list):
     """Tester lists that count how often a list is read."""
 
@@ -503,12 +538,12 @@ class TestSeededCut:
 
     def test_circulant_graph_runs_no_search(self):
         """Node i tests i + 1..i + 3 of 30, limit 7.  v = 0, 1, 2 reach 7
-        with their seed and second units, reading testers[v] three times and
+        with their seed and second units, reading testers[v] once and
         testers[u] once per second unit (3, 2 and 1 of them); every higher v
         is skipped on its seed, one read each.  A search would read more."""
         testers = Reads(_testers(circulant(30, 3)))
         assert _least_cut(testers, 7) == (7, [])
-        assert testers.count == (3 + 3) + (3 + 2) + (3 + 1) + 27
+        assert testers.count == (1 + 3) + (1 + 2) + (1 + 1) + 27
 
     def test_expansion_of_localization(self):
         self.check_against_referee(_testers(localization_expansion()))

@@ -1,5 +1,6 @@
 """Core graph model: validation, degrees, testable sets, consistency."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from diagkit.graph import (
     pmc_compatible,
     testable_set,
 )
+from diagkit.jsonio import dump_json, graph_to_dict
 from diagkit.simulator import scenario
 from diagkit.temporal import Interval, TemporalTemplate, expand, restrict
 from test_runtime_path import gapped_base, random_expansion
@@ -87,6 +89,85 @@ class TestValidate:
             dangling,
             "self-loop: edge (2, 2)",
         ])
+
+
+class TestEdgesSortedOnFirstRead:
+    """A graph checks its edges when it is built, in the order given, and
+    sorts them by (tester, testee) only when ``edges`` is first read."""
+
+    def test_shuffled_build_equals_sorted_build(self):
+        rng = random.Random(61)
+        kinds = list(EdgeKind)
+        for _ in range(60):
+            ids = sorted(rng.sample(range(30), rng.randint(1, 9)))
+            nodes = [Node(nid, f"m{nid}") for nid in ids]
+            p = rng.random()
+            edges = [
+                Edge(i, j, rng.choice(kinds))
+                for i in ids
+                for j in ids
+                if i != j and rng.random() < p
+            ]
+            shuffled = edges[:]
+            rng.shuffle(shuffled)
+            rng.shuffle(nodes)
+            built = DiagnosticGraph(nodes, shuffled)
+            sorted_build = DiagnosticGraph(sorted(nodes, key=lambda n: n.id), edges)
+            assert "edges" not in vars(built)
+            assert built.fingerprint == sorted_build.fingerprint
+            assert built.out_masks == sorted_build.out_masks
+            assert "edges" not in vars(built)
+            assert built == sorted_build and hash(built) == hash(sorted_build)
+            assert built.edges == tuple(edges)
+            assert repr(built) == repr(sorted_build)
+            assert dump_json(graph_to_dict(built)) == dump_json(
+                graph_to_dict(sorted_build)
+            )
+            again = pickle.loads(pickle.dumps(DiagnosticGraph(nodes, shuffled)))
+            assert again == sorted_build and repr(again) == repr(sorted_build)
+            assert again.fingerprint == sorted_build.fingerprint
+
+    def test_a_generator_of_edges_builds(self, five_cycle):
+        edges = list(five_cycle.edges)
+        random.Random(5).shuffle(edges)
+        built = DiagnosticGraph(five_cycle.nodes, (edge for edge in edges))
+        assert built == five_cycle and built.edges == five_cycle.edges
+
+    # Each violation among shuffled valid edges, and its message, which
+    # names the edges in sorted order whatever the order given.
+    VIOLATIONS = [
+        ([1, 2, 3, 4], [Edge(3, 3)], ["self-loop: edge (3, 3)"]),
+        ([1, 2, 3, 4], [Edge(2, 4)], ["duplicate edge: (2, 4)"]),
+        (
+            [1, 2, 3, 4],
+            [Edge(4, 9)],
+            ["dangling endpoint: edge (4, 9) references undeclared node 9"],
+        ),
+        ([1, 2, 2, 3, 4], [], ["duplicate node id: 2"]),
+        (
+            [1, 2, 2, 3, 4],
+            [Edge(3, 3), Edge(2, 4), Edge(4, 9)],
+            [
+                "duplicate node id: 2",
+                "duplicate edge: (2, 4)",
+                "self-loop: edge (3, 3)",
+                "dangling endpoint: edge (4, 9) references undeclared node 9",
+            ],
+        ),
+    ]
+
+    @pytest.mark.parametrize("ids, bad, messages", VIOLATIONS)
+    def test_violation_messages_do_not_depend_on_edge_order(self, ids, bad, messages):
+        valid = [Edge(1, 2), Edge(2, 3), Edge(2, 4), Edge(3, 1), Edge(4, 1)]
+        rng = random.Random(len(messages))
+        for _ in range(10):
+            edges = valid + bad
+            rng.shuffle(edges)
+            nodes = [Node(nid) for nid in ids]
+            rng.shuffle(nodes)
+            with pytest.raises(GraphError) as raised:
+                DiagnosticGraph(nodes, edges)
+            assert str(raised.value) == "; ".join(messages)
 
 
 class TestNodeAndEdgeInvariants:

@@ -253,6 +253,60 @@ class TestFlatRows:
         assert syndrome_to_dict(again) == syndrome_to_dict(held)
 
 
+def transposed(rows, members):
+    """The positions whose row holds a member of ``members``: the testers."""
+    return sum(1 << u for u, row in enumerate(rows) if row & members)
+
+
+class TestTestersOf:
+    """``testers_of`` is the transpose of the rows: one pass over a built
+    graph's rows, and on a flat graph read from the recipe, writing no
+    row."""
+
+    def check(self, graph, rows, rng):
+        """Every single position, and random masks, against ``rows``."""
+        n = len(rows)
+        for p in range(n):
+            assert graph.testers_of(1 << p) == transposed(rows, 1 << p)
+        for _ in range(40):
+            members = rng.getrandbits(n) & rng.getrandbits(n)
+            assert graph.testers_of(members) == transposed(rows, members)
+        assert graph.testers_of(0) == 0
+        assert graph.testers_of((1 << n) - 1) == transposed(rows, (1 << n) - 1)
+
+    def test_built_graphs(self):
+        rng = random.Random(71)
+        for _ in range(100):
+            graph = gapped_base(rng, rng.randint(1, 9), rng.random())
+            self.check(graph, graph.out_masks, rng)
+
+    @pytest.mark.parametrize("identity", [True, False], ids=["identity", "cross"])
+    @pytest.mark.parametrize(
+        "bidirectional", [False, True], ids=["forward", "bidirectional"]
+    )
+    def test_flat_graphs_write_no_row(self, identity, bidirectional):
+        """Offsets at and past the pane count, and one pane alone; the
+        single positions cover the first and the last pane."""
+        rng = random.Random(73)
+        base = gapped_base(rng, 5, 0.4)
+        for offsets in ({1}, {1, 2}, {3}, {2, 7}):
+            template = TemporalTemplate(frozenset(offsets), bidirectional, identity)
+            for count in (1, 2, 3, 6):
+                interval = Interval(0, Fraction(count - 1, 10))
+                temporal = expand(base, 10, interval, template)
+                graph = temporal.flat_graph
+                self.check(graph, literal_flat(temporal).out_masks, rng)
+                assert graph.out_masks._rows is None and not graph.out_masks._read
+
+    def test_random_expansions_and_restrictions(self):
+        rng = random.Random(79)
+        for _ in range(60):
+            temporal = random_expansion(rng, rng.randint(1, 6), 7)
+            for view in views_of(temporal, rng):
+                if view.panes:
+                    self.check(view.flat_graph, literal_flat(view).out_masks, rng)
+
+
 # ---------------------------------------------------------------------------
 # Syndromes held as masks
 # ---------------------------------------------------------------------------
